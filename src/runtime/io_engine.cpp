@@ -1029,6 +1029,7 @@ void IoEngine::HandleSendCqe(IoHandle* handle, std::int32_t res) {
 }
 
 bool IoEngine::PopRecv(IoHandle* handle, IoRecvSlice* slice) {
+  Runtime::PreemptGuard guard;  // takes engine spinlocks (see io_engine.h)
   IoCompletionState* cs = handle->cs;
   if (cs == nullptr) {
     return false;
@@ -1050,6 +1051,7 @@ bool IoEngine::PopRecv(IoHandle* handle, IoRecvSlice* slice) {
 }
 
 void IoEngine::RecycleBuffer(std::uint16_t buf_id) {
+  Runtime::PreemptGuard guard;  // takes engine spinlocks (see io_engine.h)
   UringState* s = uring_;
   BufLock(s);
   const std::uint16_t tail = s->buf_tail;
@@ -1065,6 +1067,7 @@ void IoEngine::RecycleBuffer(std::uint16_t buf_id) {
 }
 
 int IoEngine::TakeAccepted(IoHandle* handle) {
+  Runtime::PreemptGuard guard;  // takes engine spinlocks (see io_engine.h)
   IoCompletionState* cs = handle->cs;
   if (cs == nullptr) {
     return -1;
@@ -1080,6 +1083,7 @@ int IoEngine::TakeAccepted(IoHandle* handle) {
 }
 
 std::size_t IoEngine::SendEnqueue(IoHandle* handle, std::string frame) {
+  Runtime::PreemptGuard guard;  // takes engine spinlocks (see io_engine.h)
   IoCompletionState* cs = handle->cs;
   SKYLOFT_CHECK(cs != nullptr) << "SendEnqueue on a readiness handle";
   if (frame.empty()) {
@@ -1119,6 +1123,7 @@ std::size_t IoEngine::SendEnqueue(IoHandle* handle, std::string frame) {
 }
 
 std::size_t IoEngine::SendQueuedBytes(IoHandle* handle) {
+  Runtime::PreemptGuard guard;  // takes engine spinlocks (see io_engine.h)
   IoCompletionState* cs = handle->cs;
   if (cs == nullptr) {
     return 0;
@@ -1130,6 +1135,7 @@ std::size_t IoEngine::SendQueuedBytes(IoHandle* handle) {
 }
 
 bool IoEngine::SendDatagram(IoHandle* handle, const sockaddr_in& to, std::string frame) {
+  Runtime::PreemptGuard guard;  // takes engine spinlocks (see io_engine.h)
   IoCompletionState* cs = handle->cs;
   SKYLOFT_CHECK(cs != nullptr) << "SendDatagram on a readiness handle";
   if (handle->closed.load(std::memory_order_acquire)) {
@@ -1365,6 +1371,7 @@ void IoEngine::UntrackHandle(IoHandle* handle) {
 }
 
 IoHandle* IoEngine::Register(int fd, IoRegisterMode mode) {
+  Runtime::PreemptGuard guard;  // takes engine spinlocks (see io_engine.h)
   const int fl = fcntl(fd, F_GETFL, 0);
   if (fl < 0 || fcntl(fd, F_SETFL, fl | O_NONBLOCK) < 0) {
     return nullptr;
@@ -1426,6 +1433,7 @@ IoHandle* IoEngine::Register(int fd, IoRegisterMode mode) {
 }
 
 void IoEngine::Deregister(IoHandle* handle) {
+  Runtime::PreemptGuard guard;  // takes engine spinlocks (see io_engine.h)
   SKYLOFT_CHECK(handle != nullptr && handle->engine == this);
   if (uring_fd_ >= 0) {
     // Take a queueing reference BEFORE publishing closed: once closed is
@@ -1558,6 +1566,7 @@ int IoEngine::Poll() {
 }
 
 void IoEngine::RequestWritable(IoHandle* handle) {
+  Runtime::PreemptGuard guard;  // takes engine spinlocks (see io_engine.h)
   if (uring_fd_ >= 0) {
 #ifdef SKYLOFT_IO_URING
     if (handle->cs != nullptr) {
@@ -1595,6 +1604,7 @@ void IoEngine::RelatchReadable(IoHandle* handle) {
 }
 
 void IoEngine::DumpDebug(std::FILE* out) {
+  Runtime::PreemptGuard guard;  // takes engine spinlocks (see io_engine.h)
   std::fprintf(out, "engine[%d] backend=%s completion=%d\n", worker_,
                uring_fd_ >= 0 ? "io_uring" : "epoll", completion_ ? 1 : 0);
 #ifdef SKYLOFT_IO_URING

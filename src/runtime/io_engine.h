@@ -185,6 +185,11 @@ struct IoEngineOptions {
   int send_batch = 16;          // max frames folded into one async send
 };
 
+// Entry points callable from uthreads (Register, Deregister, RequestWritable,
+// the completion-path calls, DumpDebug) hold a Runtime::PreemptGuard while
+// they run: they take the engine's spinlocks, and a preemption tick inside one
+// would run this worker's Poll, which takes the same locks and would spin
+// forever on a holder queued behind it.
 class IoEngine {
  public:
   // `worker` is the owning runtime worker's index (stats lane + diagnostics).

@@ -66,7 +66,9 @@ void UthreadMutex::SpinRelease() { wait_spin_.clear(std::memory_order_release); 
 
 bool UthreadMutex::TryLock() {
   bool expected = false;
-  return locked_.compare_exchange_strong(expected, true, std::memory_order_acquire);
+  // seq_cst: the recheck in Lock() is one half of a store-load handshake
+  // with Unlock() (see there); on x86 this is the same lock cmpxchg.
+  return locked_.compare_exchange_strong(expected, true, std::memory_order_seq_cst);
 }
 
 void UthreadMutex::Lock() {
@@ -76,47 +78,66 @@ void UthreadMutex::Lock() {
   Runtime::PreemptGuard guard;
   Waiter waiter;
   waiter.thread = Runtime::Current();
+  // Park() may return on a stale unpark token (left by an earlier handoff
+  // this uthread won without parking), so every pass may find `waiter` still
+  // queued: publish it only when unlinked, and unlink it on every acquire.
   while (true) {
     SpinAcquire();
     if (TryLock()) {
+      Unqueue(&waiter);
       SpinRelease();
       return;
     }
-    waiters_.PushBack(&waiter);
-    waiter_count_.fetch_add(1, std::memory_order_release);
+    if (!waiter.IsLinked()) {
+      waiters_.PushBack(&waiter);
+      waiter_count_.fetch_add(1, std::memory_order_seq_cst);
+    }
     SpinRelease();
     // Recheck after publishing the waiter: an Unlock may have raced between
     // our failed TryLock and the publish, and seen zero waiters.
     if (TryLock()) {
       SpinAcquire();
-      if (waiter.IsLinked()) {
-        waiters_.Remove(&waiter);
-        waiter_count_.fetch_sub(1, std::memory_order_release);
-      }
+      Unqueue(&waiter);
       SpinRelease();
       // If we were already popped, a stale unpark token is pending; Park()
       // consumers (all loops) tolerate the resulting spurious return.
       return;
     }
     Runtime::Park();
-    // Woken by an Unlock handoff attempt: loop and race for the lock.
+    // Woken by an Unlock handoff attempt (or a stale token): loop and race
+    // for the lock.
+  }
+}
+
+void UthreadMutex::Unqueue(Waiter* waiter) {
+  if (waiter->IsLinked()) {
+    waiters_.Remove(waiter);
+    waiter_count_.fetch_sub(1, std::memory_order_release);
   }
 }
 
 void UthreadMutex::Unlock() {
-  locked_.store(false, std::memory_order_release);
-  if (waiter_count_.load(std::memory_order_acquire) == 0) {
+  // Store-load handshake with Lock(), which publishes waiter_count_ and
+  // then retries locked_: both sides are seq_cst, so either this load sees
+  // the waiter or that retry sees the lock free. With release/acquire the
+  // load could pass the store (x86 store buffering), both would miss, and
+  // the waiter would park with nobody left to wake it.
+  locked_.store(false, std::memory_order_seq_cst);
+  if (waiter_count_.load(std::memory_order_seq_cst) == 0) {
     return;  // uncontended fast path: one store + one load
   }
   Runtime::PreemptGuard guard;
   SpinAcquire();
-  Waiter* next = waiters_.PopFront();
-  if (next != nullptr) {
+  // Read the thread under the spinlock: once it is released, the popped
+  // waiter's owner may return from Lock() and reuse that stack slot.
+  UThread* next = nullptr;
+  if (Waiter* waiter = waiters_.PopFront(); waiter != nullptr) {
     waiter_count_.fetch_sub(1, std::memory_order_release);
+    next = waiter->thread;
   }
   SpinRelease();
   if (next != nullptr) {
-    Runtime::Unpark(next->thread);
+    Runtime::Unpark(next);
   }
 }
 
@@ -138,29 +159,38 @@ void UthreadCondVar::Wait(UthreadMutex* mutex) {
   SpinRelease();
   mutex->Unlock();
   Runtime::Park();
+  // A stale unpark token returns Park() before any Signal popped us: the
+  // waiter lives on this frame, so it must leave the list before Wait does.
+  // The caller sees a spurious wakeup, which its predicate loop absorbs.
+  SpinAcquire();
+  if (waiter.IsLinked()) {
+    waiters_.Remove(&waiter);
+  }
+  SpinRelease();
   mutex->Lock();
+}
+
+// Both wakers read the waiter's thread under the spinlock: once it is
+// released, a waiter that returned early may already have left Wait().
+UThread* UthreadCondVar::PopWaiter() {
+  SpinAcquire();
+  Waiter* waiter = waiters_.PopFront();
+  UThread* thread = waiter != nullptr ? waiter->thread : nullptr;
+  SpinRelease();
+  return thread;
 }
 
 void UthreadCondVar::Signal() {
   Runtime::PreemptGuard guard;
-  SpinAcquire();
-  Waiter* waiter = waiters_.PopFront();
-  SpinRelease();
-  if (waiter != nullptr) {
-    Runtime::Unpark(waiter->thread);
+  if (UThread* thread = PopWaiter(); thread != nullptr) {
+    Runtime::Unpark(thread);
   }
 }
 
 void UthreadCondVar::Broadcast() {
   Runtime::PreemptGuard guard;
-  while (true) {
-    SpinAcquire();
-    Waiter* waiter = waiters_.PopFront();
-    SpinRelease();
-    if (waiter == nullptr) {
-      return;
-    }
-    Runtime::Unpark(waiter->thread);
+  while (UThread* thread = PopWaiter()) {
+    Runtime::Unpark(thread);
   }
 }
 

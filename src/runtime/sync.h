@@ -62,6 +62,8 @@ class UthreadMutex {
 
   SKYLOFT_NO_SWITCH SKYLOFT_ACQUIRES(wait_spin) void SpinAcquire();
   SKYLOFT_NO_SWITCH SKYLOFT_RELEASES(wait_spin) void SpinRelease();
+  // Unlinks `waiter` if it is still queued. Caller holds wait_spin_.
+  SKYLOFT_NO_SWITCH SKYLOFT_REQUIRES(wait_spin) void Unqueue(Waiter* waiter);
 };
 
 class UthreadCondVar {
@@ -91,6 +93,8 @@ class UthreadCondVar {
 
   SKYLOFT_NO_SWITCH SKYLOFT_ACQUIRES(wait_spin) void SpinAcquire();
   SKYLOFT_NO_SWITCH SKYLOFT_RELEASES(wait_spin) void SpinRelease();
+  // Pops the front waiter and returns its thread (null when none).
+  SKYLOFT_NO_SWITCH UThread* PopWaiter();
 };
 
 // Counting semaphore built on the mutex + condvar primitives.

@@ -250,6 +250,31 @@ struct UThreadExtra {
 
 namespace {
 UThreadExtra* ExtraOf(UThread* t) { return reinterpret_cast<UThreadExtra*>(t + 1); }
+
+// ASan's fiber switch is only complete once the landing side calls
+// __sanitizer_finish_switch_fiber. A timer signal taken on the uthread's
+// stack before that point would start a second switch inside the first
+// ("starting fiber switch while in fiber switch"), so under ASan SwitchTo
+// holds the incoming uthread's PreemptGuard depth across the switch and the
+// uthread lifts it once it has landed. Other builds have no such window.
+// skylint:allow(preempt-balance) -- hold taken on the scheduler stack for the incoming uthread; AsanLand lifts it on that uthread's stack
+void AsanHoldPreempt(UThread* next) {
+#ifdef SKYLOFT_ASAN
+  ExtraOf(next)->preempt_count.fetch_add(1, std::memory_order_acq_rel);
+#else
+  (void)next;
+#endif
+}
+
+// skylint:allow(preempt-balance) -- lifts the hold AsanHoldPreempt took before the switch that landed here
+SKYLOFT_SIGNAL_SAFE void AsanLand(UThread* self, void* fake_stack_save) {
+  AsanFinishSwitch(fake_stack_save);
+#ifdef SKYLOFT_ASAN
+  ExtraOf(self)->preempt_count.fetch_sub(1, std::memory_order_acq_rel);
+#else
+  (void)self;
+#endif
+}
 }  // namespace
 
 Runtime::Runtime(RuntimeOptions options) : options_(options) {
@@ -405,12 +430,18 @@ void Runtime::Run(std::function<void()> main_fn) {
   // for per-core user timer interrupts. The signal only enters the
   // scheduler; the policy's sched_timer_tick decides whether to preempt.
   //
-  // The loop tracks an ABSOLUTE deadline, not a relative sleep: the signal
-  // fan-out plus sleeper wakeups cost a variable amount per round, and a
-  // relative sleep_for would add that cost to every period — the delivered
+  // The periodic loop tracks an ABSOLUTE deadline, not a relative sleep: the
+  // signal fan-out plus sleeper wakeups cost a variable amount per round, and
+  // a relative sleep_for would add that cost to every period — the delivered
   // tick rate used to drift well below the configured one. The period is
   // reread each round so SetPreemptPeriodUs retunes the running timer.
-  std::thread timer_thread([this] {
+  //
+  // With neither the preemption timer nor a quantum controller there is
+  // nothing periodic to do: the thread blocks until the earliest sleeper's
+  // deadline (SleepFor kicks it when it inserts an earlier one, and the stop
+  // below kicks it out), so it never wakes the workers' CPUs for nothing.
+  const bool periodic = options_.preempt_period_us > 0 || options_.quantum_controller != nullptr;
+  std::thread timer_thread([this, periodic] {
     auto next = std::chrono::steady_clock::now();
     auto next_controller_poll = next;
     while (!stopping_.load(std::memory_order_relaxed)) {
@@ -438,6 +469,18 @@ void Runtime::Run(std::function<void()> main_fn) {
       for (UThread* t : due) {
         Unpark(t);
       }
+      if (!periodic) {
+        std::unique_lock<std::mutex> lock(sleep_lock_);
+        if (stopping_.load(std::memory_order_relaxed)) {
+          break;
+        }
+        if (sleepers_.empty()) {
+          sleep_kick_.wait(lock);
+        } else {
+          sleep_kick_.wait_until(lock, sleepers_.begin()->first);
+        }
+        continue;
+      }
       // Slow-path quantum-controller poll: runs on this housekeeping thread
       // (never a worker, never a signal handler), so allocation is fine.
       if (options_.quantum_controller != nullptr && now >= next_controller_poll) {
@@ -459,12 +502,18 @@ void Runtime::Run(std::function<void()> main_fn) {
     }
   });
 
-  // Wait for every user thread to finish.
-  while (live_uthreads_.load(std::memory_order_acquire) > 0) {
-    // skylint:allow(blocking-call-on-worker) -- Run() executes on the caller's launch thread (not a worker), parked while the worker pthreads run
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  // Wait for every user thread to finish; the last exit notifies.
+  for (std::int64_t live = live_uthreads_.load(std::memory_order_acquire); live > 0;
+       live = live_uthreads_.load(std::memory_order_acquire)) {
+    live_uthreads_.wait(live, std::memory_order_acquire);
   }
-  stopping_.store(true);
+  {
+    // Under sleep_lock_ so the timer thread cannot miss the kick between its
+    // stopping_ check and its wait.
+    std::lock_guard<std::mutex> lock(sleep_lock_);
+    stopping_.store(true);
+  }
+  sleep_kick_.notify_all();
   for (auto& t : worker_threads_) {
     t.join();
   }
@@ -479,9 +528,16 @@ void Runtime::SleepFor(std::int64_t duration_us) {
   UThread* self = Current();
   {
     Runtime::PreemptGuard guard;
-    std::lock_guard<std::mutex> lock(rt->sleep_lock_);
-    rt->sleepers_.emplace(
-        std::chrono::steady_clock::now() + std::chrono::microseconds(duration_us), self);
+    bool earliest = false;
+    {
+      std::lock_guard<std::mutex> lock(rt->sleep_lock_);
+      const auto it = rt->sleepers_.emplace(
+          std::chrono::steady_clock::now() + std::chrono::microseconds(duration_us), self);
+      earliest = it == rt->sleepers_.begin();
+    }
+    if (earliest) {
+      rt->sleep_kick_.notify_one();  // a blocked timer thread must rearm
+    }
   }
   Park();
 }
@@ -511,36 +567,41 @@ void Runtime::WorkerLoop(int index) {
 
   IoEngine* engine = io_engine(index);
 
-  // `next` carries a directly-resumed uthread past the dequeue (a timer tick
-  // the policy declined to turn into a preemption).
+  // One scheduling round: run `next`; once it switches out, poll the engine;
+  // then complete the uthread's action, which may pick the next round's
+  // `next` directly (a requeue winner, or a tick that resumes `prev`). The
+  // poll comes before the completion (I/O first): handlers woken by socket
+  // readiness are enqueued on THIS worker's runqueue (the remote-enqueue
+  // mailbox when the handler was stolen) ahead of a requeued yielder, and a
+  // tick's preemption decision sees them. Polled after the completion, a
+  // request that arrived during the segment would wait one more batch unit
+  // or quantum (DESIGN.md §10, "Round order").
   UThread* next = nullptr;
   while (!stopping_.load(std::memory_order_relaxed)) {
-    // Engine-core duty: drain socket readiness between uthread segments so a
-    // NIC wakeup becomes a runnable uthread within one scheduling round. The
-    // resulting Unparks enqueue through THIS worker's runqueue — the
-    // remote-enqueue mailbox path when the handler uthread was stolen.
-    if (engine != nullptr) {
-      engine->Poll();
-    }
     if (next == nullptr) {
       next = FindWork(worker);
     }
     if (next == nullptr) {
       // Out of runnable work: push any deferred io_uring submissions before
       // the OS yield (which can cost a whole timeslice on a loaded box) so
-      // the kernel processes them while this worker is off-CPU.
+      // the kernel processes them while this worker is off-CPU, then poll
+      // for whatever arrived meanwhile.
       if (engine != nullptr) {
         engine->FlushSubmissions();
       }
       worker->sched.SetIdle(true);
       std::this_thread::yield();
+      if (engine != nullptr) {
+        engine->Poll();
+      }
       continue;
     }
     worker->sched.SetIdle(false);
     SwitchTo(worker, next);
     next = nullptr;
 
-    // Back on the scheduler stack: complete whatever the uthread asked.
+    // Back on the scheduler stack: poll, then complete whatever the uthread
+    // asked.
     UThread* prev = worker->current;
     worker->current = nullptr;
     if (tracer_ != nullptr) {
@@ -550,6 +611,9 @@ void Runtime::WorkerLoop(int index) {
       const std::int64_t span_end = TraceClockNs();
       tracer_->RecordEvent(worker->trace_run_start, TraceEventType::kRun, index, prev->id, 0,
                            span_end - worker->trace_run_start);
+    }
+    if (engine != nullptr) {
+      engine->Poll();
     }
     const SwitchAction action = worker->action;
     worker->action = SwitchAction::kNone;
@@ -589,7 +653,9 @@ void Runtime::WorkerLoop(int index) {
         // Fused task_terminate + task_dequeue, then release the storage.
         next = static_cast<UThread*>(worker->sched.Retire(prev));
         FreeUthread(prev);
-        live_uthreads_.fetch_sub(1, std::memory_order_acq_rel);
+        if (live_uthreads_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+          live_uthreads_.notify_all();  // Run() waits for the last exit
+        }
         break;
       }
       case SwitchAction::kNone:
@@ -622,6 +688,7 @@ void Runtime::SwitchTo(RuntimeWorker* worker, UThread* next) {
   // Enable preemption for the duration of the uthread's execution. The
   // signal handler additionally verifies it is on the uthread's stack, so
   // the window between this store and the switch is safe.
+  AsanHoldPreempt(next);
   worker->preempt_disable.store(0, std::memory_order_release);
   TsanSwitchTo(ExtraOf(next)->tsan_fiber);
   AsanStartSwitch(&worker->asan_fake_stack, next->stack.get(), next->stack_size);
@@ -632,8 +699,8 @@ void Runtime::SwitchTo(RuntimeWorker* worker, UThread* next) {
 }
 
 void Runtime::UthreadMain(void* arg) {
-  AsanFinishSwitch(nullptr);  // first entry on this stack: nothing to restore
   auto* self = static_cast<UThread*>(arg);
+  AsanLand(self, nullptr);  // first entry on this stack: nothing to restore
   self->fn();
   g_runtime->ExitCurrent();
   SKYLOFT_CHECK(false) << "resumed an exited uthread";
@@ -701,7 +768,7 @@ void Runtime::Yield() {
                   worker->asan_stack_size);
   skyloft_ctx_switch(&self->sp, worker->sched_sp);
   // `worker` is stale here (the uthread may have migrated); `self` is not.
-  AsanFinishSwitch(ExtraOf(self)->asan_fake_stack);
+  AsanLand(self, ExtraOf(self)->asan_fake_stack);
 }
 
 // Signal-timer entry: hand control to the scheduler stack so the policy tick
@@ -716,7 +783,7 @@ void Runtime::PreemptTick() {
   AsanStartSwitch(&ExtraOf(self)->asan_fake_stack, worker->asan_stack_bottom,
                   worker->asan_stack_size);
   skyloft_ctx_switch(&self->sp, worker->sched_sp);
-  AsanFinishSwitch(ExtraOf(self)->asan_fake_stack);
+  AsanLand(self, ExtraOf(self)->asan_fake_stack);
 }
 
 // skylint:allow(preempt-balance) -- main path's +1 is re-armed by SwitchTo's store(0), see NOTE
@@ -740,7 +807,7 @@ void Runtime::Park() {
   AsanStartSwitch(&ExtraOf(self)->asan_fake_stack, worker->asan_stack_bottom,
                   worker->asan_stack_size);
   skyloft_ctx_switch(&self->sp, worker->sched_sp);
-  AsanFinishSwitch(ExtraOf(self)->asan_fake_stack);
+  AsanLand(self, ExtraOf(self)->asan_fake_stack);
 }
 
 void Runtime::Unpark(UThread* thread) {
@@ -767,6 +834,13 @@ void Runtime::Join(UThread* thread) {
   // read once, before the first switch: Current() goes through tl_worker,
   // which must not be touched after a Park that may migrate us.
   UThread* self = Current();
+  // Non-preemptible while wait_lock_ is held: a tick there could queue this
+  // uthread behind its joinee, whose exit would then block the worker pthread
+  // on the mutex this uthread holds. The guard is taken once, before the
+  // loop, and spans the Parks (its depth travels with the uthread): taking
+  // it inside the loop would read tl_worker after a Park, through a TLS
+  // address the compiler may have cached on the previous worker.
+  Runtime::PreemptGuard guard;
   while (true) {
     {
       std::lock_guard<std::mutex> lock(rt->wait_lock_);

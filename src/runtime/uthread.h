@@ -24,6 +24,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -115,7 +116,10 @@ class Runtime {
   SKYLOFT_NO_SWITCH static void Unpark(UThread* thread);
 
   // Blocks the current uthread for at least `duration_us` (the worker runs
-  // other uthreads meanwhile; wakeup granularity is the housekeeping tick).
+  // other uthreads meanwhile). Wakeup granularity: with the preemption timer
+  // or a quantum controller on, the housekeeping thread's period (the timer
+  // period, else 100 us); otherwise the deadline itself, since the
+  // housekeeping thread then sleeps until the earliest one.
   SKYLOFT_MAY_SWITCH static void SleepFor(std::int64_t duration_us);
 
   // Scope guard that delays signal-timer preemption (scheduler and sync
@@ -216,6 +220,9 @@ class Runtime {
 
   std::mutex sleep_lock_;
   std::multimap<std::chrono::steady_clock::time_point, UThread*> sleepers_;
+  // Wakes the housekeeping thread when it blocks between sleeper deadlines
+  // (no preemption timer, no quantum controller); waited on under sleep_lock_.
+  std::condition_variable sleep_kick_;
 
   std::mutex pool_lock_;
   std::vector<UThread*> free_pool_;

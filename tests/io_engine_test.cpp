@@ -8,6 +8,8 @@
 //   - Interrupt() waking a parked waiter for shutdown
 //   - Deregister with write interest still outstanding, then a late POLLOUT
 //     (the io_uring stale-oneshot-CQE lifetime regression)
+//   - the I/O-first round order: a readiness wakeup overtakes a yielding or
+//     ticked uthread on both scheduler drivers
 // Runs under TSan/ASan in CI; every cross-thread handoff here is a real
 // data-race candidate.
 #include <arpa/inet.h>
@@ -22,6 +24,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +33,7 @@
 #include <gtest/gtest.h>
 
 #include "src/base/metrics.h"
+#include "src/base/trace.h"
 #include "src/runtime/io_engine.h"
 #include "src/runtime/sync.h"
 #include "src/runtime/uthread.h"
@@ -973,6 +978,144 @@ TEST(IoEngineTest, CompletionDatagramRoundTrip) {
     AwaitFlag(done);
   });
   client.join();
+}
+
+// ---------------------------------------------------------------------------
+// Round order. After a uthread switches out, the worker polls its engine
+// before it completes the uthread's action, so a handler woken by readiness
+// is queued ahead of a yielder and is visible to the tick's preemption
+// decision. Polling after the decision lets the running uthread keep the
+// worker for one more batch unit or quantum.
+// ---------------------------------------------------------------------------
+
+std::int64_t MonotonicNowNs() {
+  timespec ts;
+  clock_gettime(CLOCK_MONOTONIC, &ts);  // the runtime tracer's clock
+  return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+}
+
+// One worker runs `busy` while a handler sits parked in WaitForReadable on a
+// socketpair. Once `busy` has run for a while, an outside thread writes one
+// byte and then calls `after_write`. The handler calls `on_run` first thing
+// when it runs, then sets the flag `busy` polls to return. Returns the id of
+// the uthread that ran `busy`.
+std::uint64_t RaceArrivalAgainstBusy(RuntimeOptions options,
+                                     const std::function<void(const std::atomic<bool>&)>& busy,
+                                     const std::function<void()>& after_write,
+                                     const std::function<void()>& on_run) {
+  int sv[2];
+  EXPECT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  options.workers = 1;
+  options.io_engine = true;
+  Runtime rt(options);
+  std::atomic<bool> busy_started{false};
+  std::atomic<bool> handler_ran{false};
+  std::uint64_t busy_id = 0;
+  std::thread writer([&] {
+    while (!busy_started.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const char byte = 'x';
+    EXPECT_EQ(write(sv[1], &byte, 1), 1);
+    after_write();
+  });
+  rt.Run([&] {
+    IoEngine* engine = rt.io_engine(0);
+    IoHandle* handle = engine->Register(sv[0]);
+    UThread* handler = Runtime::Spawn([&, engine, handle] {
+      WaitForReadable(handle);
+      on_run();
+      handler_ran.store(true, std::memory_order_release);
+      engine->Deregister(handle);
+    });
+    // Let the handler park and the worker go idle once: the idle path
+    // flushes the engine's deferred submissions, so the registration is
+    // armed before the busy uthread keeps the worker from ever idling.
+    Runtime::SleepFor(5'000);
+    UThread* hog = Runtime::Spawn([&] {
+      busy_started.store(true, std::memory_order_release);
+      busy(handler_ran);
+    });
+    busy_id = hog->id;
+    Runtime::Join(handler);
+    Runtime::Join(hog);
+  });
+  writer.join();
+  close(sv[1]);
+  return busy_id;
+}
+
+// A batch uthread yields after every compute unit; the handler must run at
+// the first yield after the write (the poll-after-requeue order gave 2).
+void ExpectWakeupWithinOneYield(HostSchedOptions sched) {
+  std::atomic<std::uint64_t> yields{0};
+  std::uint64_t at_write = 0;
+  std::uint64_t at_run = 0;
+  RaceArrivalAgainstBusy(
+      RuntimeOptions{.sched = sched},
+      [&](const std::atomic<bool>& stop) {
+        while (!stop.load(std::memory_order_acquire)) {
+          volatile std::uint64_t x = 0;
+          for (int i = 0; i < 200'000; i++) {
+            x = x + 1;
+          }
+          yields.fetch_add(1, std::memory_order_relaxed);
+          Runtime::Yield();
+        }
+      },
+      [&] { at_write = yields.load(std::memory_order_relaxed); },
+      [&] { at_run = yields.load(std::memory_order_relaxed); });
+  EXPECT_LE(at_run - at_write, 1u) << "yields between the write and the handler running";
+}
+
+// A uthread that never yields holds the worker; the handler must run at the
+// first preemption tick after the write (the poll-after-tick order gave 2).
+// A tick is counted where the scheduler sees it: each one ends an occupancy
+// span of the busy uthread, so the spans that end after the write are the
+// ticks it took to hand the worker over.
+void ExpectWakeupAtFirstTick(HostSchedOptions sched) {
+  SchedTracer tracer(1 << 16);
+  std::int64_t written_ns = 0;
+  std::int64_t ran_ns = 0;
+  const std::uint64_t busy_id = RaceArrivalAgainstBusy(
+      RuntimeOptions{.preempt_period_us = 1000, .sched = sched, .tracer = &tracer},
+      [&](const std::atomic<bool>& stop) {
+        volatile std::uint64_t x = 0;  // executable text: a safe preemption point
+        while (!stop.load(std::memory_order_relaxed)) {
+          x = x + 1;
+        }
+      },
+      [&] { written_ns = MonotonicNowNs(); }, [&] { ran_ns = MonotonicNowNs(); });
+  int ticks = 0;
+  for (const TraceEvent& e : tracer.Snapshot()) {
+    const std::int64_t end = e.when + e.dur;
+    if (e.type == TraceEventType::kRun && e.task_id == busy_id && end > written_ns &&
+        end <= ran_ns) {
+      ticks++;
+    }
+  }
+  EXPECT_LE(ticks, 1) << "ticks between the write and the handler running";
+}
+
+TEST(IoEngineRoundOrderTest, ReadinessOvertakesYielderLockFree) {
+  ExpectWakeupWithinOneYield(HostSchedOptions{});
+}
+
+TEST(IoEngineRoundOrderTest, ReadinessOvertakesYielderShardMutexFifo) {
+  ExpectWakeupWithinOneYield(
+      HostSchedOptions{.policy = RuntimePolicy::kFifo, .force_locked = true});
+}
+
+TEST(IoEngineRoundOrderTest, ReadinessPreemptsAtFirstTickLockFree) {
+  ExpectWakeupAtFirstTick(HostSchedOptions{});
+}
+
+// FIFO never preempts on a tick, so the shard-mutex tick case runs its
+// sliced variant, round robin.
+TEST(IoEngineRoundOrderTest, ReadinessPreemptsAtFirstTickShardMutexRoundRobin) {
+  ExpectWakeupAtFirstTick(
+      HostSchedOptions{.policy = RuntimePolicy::kRoundRobin, .force_locked = true});
 }
 
 }  // namespace

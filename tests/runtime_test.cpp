@@ -232,6 +232,40 @@ TEST(RuntimeSyncTest, MutexBlocksAndWakes) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
+// A stale unpark token makes Park() return before any Unlock popped the
+// waiter. Lock() must neither queue its waiter a second time (that aborted
+// with "node already on a list") nor return with it still queued.
+TEST(RuntimeSyncTest, ContendedLockWithStaleUnparkToken) {
+  Runtime rt(RuntimeOptions{.workers = 1});
+  UthreadMutex mutex;
+  std::vector<int> order;
+  rt.Run([&] {
+    mutex.Lock();
+    UThread* child = Runtime::Spawn([&] {
+      Runtime::Unpark(Runtime::Current());  // plant a stale token
+      mutex.Lock();  // contended: the first Park() returns at once
+      order.push_back(2);
+      mutex.Unlock();
+    });
+    Runtime::Yield();  // the child parks for real on its second pass
+    order.push_back(1);
+    mutex.Unlock();
+    Runtime::Join(child);
+    // The waiter list is empty again: an uncontended round trip still works
+    // and a second contender is woken by the next Unlock.
+    mutex.Lock();
+    UThread* second = Runtime::Spawn([&] {
+      mutex.Lock();
+      order.push_back(3);
+      mutex.Unlock();
+    });
+    Runtime::Yield();
+    mutex.Unlock();
+    Runtime::Join(second);
+  });
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
 // ---- Condition variable ----
 
 TEST(RuntimeSyncTest, CondVarSignalWakesOne) {
@@ -298,6 +332,48 @@ TEST(RuntimeSyncTest, SignalWithNoWaitersIsNoop) {
     cv.Signal();
     cv.Broadcast();
   });
+}
+
+// Same stale token, now in front of UthreadCondVar::Wait: the early return
+// is a spurious wakeup, and the waiter must leave the list with it, so the
+// next Signal reaches the uthread that is really waiting.
+TEST(RuntimeSyncTest, CondVarWaitWithStaleUnparkToken) {
+  Runtime rt(RuntimeOptions{.workers = 1});
+  UthreadMutex mutex;
+  UthreadCondVar cv;
+  bool ready = false;
+  int spurious = 0;
+  bool woken = false;
+  rt.Run([&] {
+    UThread* early = Runtime::Spawn([&] {
+      mutex.Lock();
+      Runtime::Unpark(Runtime::Current());  // plant a stale token
+      cv.Wait(&mutex);                      // returns without a Signal
+      spurious++;
+      mutex.Unlock();
+    });
+    Runtime::Join(early);
+    UThread* waiter = Runtime::Spawn([&] {
+      mutex.Lock();
+      while (!ready) {
+        cv.Wait(&mutex);
+      }
+      woken = true;
+      mutex.Unlock();
+    });
+    Runtime::Yield();  // the waiter blocks on the cv
+    mutex.Lock();
+    ready = true;
+    mutex.Unlock();
+    cv.Signal();  // one Signal: it must not be spent on the departed waiter
+    for (int i = 0; i < 10 && !woken; i++) {
+      Runtime::Yield();
+    }
+    EXPECT_TRUE(woken);
+    cv.Broadcast();  // unblocks the waiter if the Signal went astray
+    Runtime::Join(waiter);
+  });
+  EXPECT_EQ(spurious, 1);
 }
 
 // Producer/consumer pipeline across workers.
@@ -420,6 +496,36 @@ TEST(RuntimePreemptTest, PreemptionIsMallocSafe) {
   EXPECT_GT(sum.load(), 0);
   // The timer must have actually tried: fired switches plus deferred signals.
   EXPECT_GT(rt.preemptions() + rt.preempt_deferrals(), 0u);
+}
+
+// Join under a fast preemption timer while its joinees exit on the same
+// worker. A tick landing while Join held the runtime's wait lock used to
+// queue the joiner behind uthreads that take that lock too (an exiting
+// joinee, another joiner), blocking the only worker on it for good; the
+// ctest timeout turns such a hang into a failure.
+TEST(RuntimePreemptTest, JoinUnderPreemptionWhileJoineesExit) {
+  Runtime rt(RuntimeOptions{.workers = 1, .preempt_period_us = 50});
+  rt.SetQuantum(1);  // every tick that finds a waiting uthread preempts
+  constexpr int kPairs = 100'000;
+  constexpr std::size_t kWave = 64;
+  std::atomic<int> finished{0};
+  rt.Run([&] {
+    std::vector<UThread*> joiners;
+    for (int i = 0; i < kPairs; i++) {
+      joiners.push_back(Runtime::Spawn([&] {
+        UThread* child = Runtime::Spawn([&] { finished.fetch_add(1, std::memory_order_relaxed); });
+        Runtime::Join(child);
+      }));
+      if (joiners.size() == kWave || i == kPairs - 1) {
+        for (UThread* j : joiners) {
+          Runtime::Join(j);
+        }
+        joiners.clear();
+      }
+    }
+  });
+  EXPECT_EQ(finished.load(), kPairs);
+  EXPECT_GT(rt.preemptions(), 0u);
 }
 
 }  // namespace
