@@ -25,6 +25,10 @@
 // scale: stacks are allocated lazily (make_unique_for_overwrite) so 10k
 // parked handlers cost pages actually touched, not stack_size each.
 //
+// Every SCAN reply is checked (at most the asked number of pairs, keys in
+// ascending order); the bench exits non-zero if any fails, as it does when
+// a completion-path point breaks the syscalls/request gate.
+//
 // Emits BENCH_kv_server.json (schema in EXPERIMENTS.md).
 //
 //   ./build/bench/bench_kv_server [--smoke | --full] [--workers N]
@@ -46,6 +50,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -101,7 +106,11 @@ struct ClientConn {
   std::string outbuf;          // unsent bytes (partial writes / EAGAIN)
   std::size_t outbuf_off = 0;
   FrameDecoder decoder;
-  std::deque<std::int64_t> inflight;  // scheduled send instants, FIFO
+  struct Inflight {
+    std::int64_t sched_ns;  // scheduled send instant
+    int scan_limit;         // the SCAN's limit; 0 for GET/SET
+  };
+  std::deque<Inflight> inflight;  // FIFO, one per request on the wire
   std::int64_t next_due_ns = 0;       // open loop: next scheduled send
   unsigned rng = 1;
 };
@@ -125,8 +134,35 @@ struct LoadPointOutcome {
   std::uint64_t replies = 0;
   std::uint64_t errors = 0;     // connection failures / resets
   std::uint64_t shed = 0;       // open loop: sends skipped at pipeline cap
+  std::uint64_t scan_replies = 0;  // SCAN replies checked (whole point)
+  std::uint64_t scan_wrong = 0;    // of those, over the limit or out of order
   int connected = 0;            // connections actually established
 };
+
+// The SCAN reply contract the bench gates on: "EMPTY", or at most `limit`
+// "key=value;" pairs with keys in strictly ascending order.
+bool ScanReplyOk(std::string_view reply, int limit) {
+  if (reply == "EMPTY") {
+    return true;
+  }
+  int pairs = 0;
+  std::string_view prev;
+  while (!reply.empty()) {
+    const auto semi = reply.find(';');
+    const auto eq = reply.find('=');
+    if (semi == std::string_view::npos || eq == std::string_view::npos || eq > semi) {
+      return false;
+    }
+    const std::string_view key = reply.substr(0, eq);
+    if (pairs > 0 && key <= prev) {
+      return false;
+    }
+    prev = key;
+    pairs++;
+    reply.remove_prefix(semi + 1);
+  }
+  return pairs > 0 && pairs <= limit;
+}
 
 // One client I/O thread: owns `conns`, an epoll set, and a slice of the
 // offered load. Runs connect, then warmup+measure, recording reply latency.
@@ -169,6 +205,8 @@ class ClientThread {
   std::uint64_t replies() const { return replies_; }
   std::uint64_t errors() const { return errors_; }
   std::uint64_t shed() const { return shed_; }
+  std::uint64_t scan_replies() const { return scan_replies_; }
+  std::uint64_t scan_wrong() const { return scan_wrong_; }
   int connected() const { return connected_; }
 
  private:
@@ -261,15 +299,17 @@ class ClientThread {
     const unsigned roll = c->rng % 1000;
     std::string request;
     const std::string key = "user" + std::to_string(c->rng % 10'000);
+    int scan_limit = 0;
     if (roll < 2) {
-      request = "SCAN user 64";
+      scan_limit = 64;
+      request = "SCAN user " + std::to_string(scan_limit);
     } else if (roll < 4) {
       request = "SET " + key + " updated";
     } else {
       request = "GET " + key;
     }
     c->outbuf += EncodeFrame(request);
-    c->inflight.push_back(sched_ns);
+    c->inflight.push_back({sched_ns, scan_limit});
   }
 
   // Returns false when the connection died mid-write.
@@ -312,11 +352,15 @@ class ClientThread {
         while (c->decoder.Next(&payload) == FrameDecodeStatus::kFrame) {
           const std::int64_t now = NowNs();
           if (!c->inflight.empty()) {
-            const std::int64_t sched = c->inflight.front();
+            const ClientConn::Inflight sent = c->inflight.front();
             c->inflight.pop_front();
             if (now >= measure_start && now < measure_end) {
-              latency_.Record(now - sched);
+              latency_.Record(now - sent.sched_ns);
               replies_++;
+            }
+            if (sent.scan_limit > 0) {
+              scan_replies_++;
+              scan_wrong_ += ScanReplyOk(payload, sent.scan_limit) ? 0 : 1;
             }
           }
           if (!cfg_.open_loop) {
@@ -434,6 +478,8 @@ class ClientThread {
   std::uint64_t replies_ = 0;
   std::uint64_t errors_ = 0;
   std::uint64_t shed_ = 0;
+  std::uint64_t scan_replies_ = 0;
+  std::uint64_t scan_wrong_ = 0;
   int connected_ = 0;
 };
 
@@ -465,6 +511,8 @@ LoadPointOutcome RunClientPool(std::uint16_t port, const LoadPointConfig& cfg) {
     out.replies += ct->replies();
     out.errors += ct->errors();
     out.shed += ct->shed();
+    out.scan_replies += ct->scan_replies();
+    out.scan_wrong += ct->scan_wrong();
     out.connected += ct->connected();
   }
   out.achieved_rps = static_cast<double>(out.replies) /
@@ -643,6 +691,7 @@ int main(int argc, char** argv) {
               {"path", "policy", "mode", "conns", "offered", "achieved", "p99_ns", "sys/req"});
 
   bool syscall_gate_failed = false;
+  bool scan_gate_failed = false;
   for (const bool completion_on : completion_modes) {
     for (const bool force_locked : {false, true}) {
       for (const PointSpec& spec : points) {
@@ -682,6 +731,8 @@ int main(int argc, char** argv) {
         std::uint64_t peer_resets = 0;
         std::uint64_t frame_errors = 0;
         std::uint64_t io_syscalls = 0;
+        std::uint64_t scan_replies = 0;
+        std::uint64_t scan_wrong = 0;
         rt.Run([&] {
           KvServerNetOptions sopts;
           sopts.udp = false;  // TCP sweep; the UDP path is covered by tests
@@ -691,6 +742,8 @@ int main(int argc, char** argv) {
           std::vector<LoadPointOutcome> reps;
           for (int rep = 0; rep < spec.reps; rep++) {
             reps.push_back(RunPoint(&rt, server.tcp_port(), cfg));
+            scan_replies += reps.back().scan_replies;
+            scan_wrong += reps.back().scan_wrong;
           }
           out = MedianByP99(std::move(reps));
           io_syscalls = rt.io_data_syscalls() - sys_before;
@@ -712,6 +765,16 @@ int main(int argc, char** argv) {
                        "syscalls/request (gate: < 0.5)\n",
                        spec.mode, cfg.connections, sys_per_req);
           syscall_gate_failed = true;
+        }
+        // SCAN correctness gate: every SCAN reply of every repetition must
+        // hold at most the asked number of pairs, keys ascending.
+        if (scan_wrong > 0) {
+          std::fprintf(stderr,
+                       "SCAN GATE FAILED: %s/%d conns: %llu of %llu SCAN replies over the "
+                       "limit or out of key order\n",
+                       spec.mode, cfg.connections, static_cast<unsigned long long>(scan_wrong),
+                       static_cast<unsigned long long>(scan_replies));
+          scan_gate_failed = true;
         }
 
         const char* policy = force_locked ? "locked" : "ws-lockfree";
@@ -744,6 +807,8 @@ int main(int argc, char** argv) {
             .Int("server_frame_errors", static_cast<std::int64_t>(frame_errors))
             .Int("io_syscalls", static_cast<std::int64_t>(io_syscalls))
             .Num("syscalls_per_request", sys_per_req)
+            .Int("scan_replies", static_cast<std::int64_t>(scan_replies))
+            .Int("scan_wrong", static_cast<std::int64_t>(scan_wrong))
             .Int("steals", static_cast<std::int64_t>(rt.steals()))
             .Int("preemptions", static_cast<std::int64_t>(rt.preemptions()))
             .Str("sched_driver", rt.lock_free_sched() ? "lock-free" : "shard-mutex");
@@ -754,5 +819,5 @@ int main(int argc, char** argv) {
   if (!reporter.WriteFile()) {
     return 1;
   }
-  return syscall_gate_failed ? 1 : 0;
+  return syscall_gate_failed || scan_gate_failed ? 1 : 0;
 }

@@ -142,6 +142,15 @@ void KvStripedStore::Preload(const std::string& key, const std::string& value) {
   StripeOf(key).store.Set(key, value);
 }
 
+bool KvStripedStore::Delete(const std::string& key) {
+  Stripe& stripe = StripeOf(key);
+  Runtime::PreemptGuard guard;
+  LockStripe(stripe);
+  const bool found = stripe.store.Delete(key);
+  UnlockStripe(stripe);
+  return found;
+}
+
 std::string KvStripedStore::Serve(const std::string& request, std::uint64_t lane) {
   const std::int64_t t0 = NowNs();
   KvOpKind kind = KvOpKind::kError;
@@ -194,19 +203,7 @@ std::string KvStripedStore::Serve(const std::string& request, std::uint64_t lane
       if (limit == 0) {
         kind = KvOpKind::kError;
       } else {
-        // One stripe at a time (never nested), so a heavy scan stalls at
-        // most one stripe's GET/SET traffic at a time.
-        for (auto& stripe_ptr : stripes_) {
-          Runtime::PreemptGuard guard;
-          LockStripe(*stripe_ptr);
-          for (const auto& [k, v] : stripe_ptr->store.Scan(start, limit)) {
-            reply += k + "=" + v + ";";
-          }
-          UnlockStripe(*stripe_ptr);
-        }
-        if (reply.empty()) {
-          reply = "EMPTY";
-        }
+        reply = ScanReply(start, limit);
       }
     }
   }
@@ -223,6 +220,49 @@ std::string KvStripedStore::Serve(const std::string& request, std::uint64_t lane
     UnlockLane(lat);
   }
   return reply;
+}
+
+std::string KvStripedStore::ScanReply(const std::string& start, std::size_t limit) {
+  // Each stripe holds a disjoint, hash-chosen subset of the keys, so the
+  // first `limit` keys >= start overall are among the first `limit` of each
+  // stripe. Take those runs one stripe at a time (never nested), so a heavy
+  // scan stalls at most one stripe's GET/SET traffic at a time; the reply is
+  // therefore not a snapshot across stripes.
+  using Run = std::vector<std::pair<std::string, std::string>>;
+  std::vector<Run> runs;
+  runs.reserve(stripes_.size());
+  for (auto& stripe_ptr : stripes_) {
+    Runtime::PreemptGuard guard;
+    LockStripe(*stripe_ptr);
+    runs.push_back(stripe_ptr->store.Scan(start, limit));
+    UnlockStripe(*stripe_ptr);
+  }
+  // k-way merge of the sorted runs, cut at the global limit. A min-heap of
+  // run cursors keyed by each run's next key.
+  using Cursor = std::pair<std::size_t, std::size_t>;  // (run, position)
+  std::vector<Cursor> heap;
+  for (std::size_t r = 0; r < runs.size(); r++) {
+    if (!runs[r].empty()) {
+      heap.emplace_back(r, 0);
+    }
+  }
+  const auto later = [&runs](const Cursor& a, const Cursor& b) {
+    return runs[b.first][b.second].first < runs[a.first][a.second].first;
+  };
+  std::make_heap(heap.begin(), heap.end(), later);
+  std::string reply;
+  for (std::size_t taken = 0; taken < limit && !heap.empty(); taken++) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    auto& [run, pos] = heap.back();
+    const auto& [key, value] = runs[run][pos];
+    reply.append(key).append(1, '=').append(value).append(1, ';');
+    if (++pos < runs[run].size()) {
+      std::push_heap(heap.begin(), heap.end(), later);
+    } else {
+      heap.pop_back();
+    }
+  }
+  return reply.empty() ? "EMPTY" : reply;
 }
 
 void KvStripedStore::MergeLatencies() {
@@ -440,10 +480,13 @@ void KvServerNet::AcceptLoop(Listener* listener) {
 }
 
 // Flushes queued response frames with writev. `front_off` tracks bytes of
-// the front frame already written (partial writev). Returns false when the
-// connection died (peer reset mid-write).
+// the front frame already written (partial writev). `coalesce` is the
+// connection's scratch buffer for small frames; it keeps its capacity across
+// flushes, so a steady stream of small replies does not allocate here.
+// Returns false when the connection died (peer reset mid-write).
 SKYLOFT_MAY_SWITCH static bool FlushFrames(IoHandle* conn, std::deque<OutFrame>* queue,
-                                           std::size_t* front_off) {
+                                           std::size_t* front_off, std::string* coalesce_buf) {
+  std::string& coalesce = *coalesce_buf;
   while (!queue->empty()) {
     // Plan the iovec batch first: consecutive small frames are copied into
     // `coalesce` and merged into one segment per run; large frames keep the
@@ -458,7 +501,7 @@ SKYLOFT_MAY_SWITCH static bool FlushFrames(IoHandle* conn, std::deque<OutFrame>*
     };
     Seg segs[kMaxFlushIovs];
     int nseg = 0;
-    std::string coalesce;
+    coalesce.clear();
     std::size_t skip = *front_off;
     for (const OutFrame& frame : *queue) {
       const std::size_t frame_len = kFrameHeaderSize + frame.payload.size();
@@ -538,6 +581,7 @@ bool KvServerNet::ConnLoopReadiness(IoHandle* conn, std::uint64_t lane) {
   FrameDecoder decoder;
   std::deque<OutFrame> outq;
   std::size_t front_off = 0;
+  std::string coalesce;  // FlushFrames' reused small-frame buffer
   std::vector<char> buf(options_.read_buffer);
   bool reset = false;
 
@@ -585,7 +629,7 @@ bool KvServerNet::ConnLoopReadiness(IoHandle* conn, std::uint64_t lane) {
       dead = true;
     }
     if (!dead && !outq.empty()) {
-      if (!FlushFrames(conn, &outq, &front_off)) {
+      if (!FlushFrames(conn, &outq, &front_off, &coalesce)) {
         reset = true;
         dead = true;
       }

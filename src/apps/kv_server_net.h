@@ -81,6 +81,10 @@ class KvStripedStore {
   // Direct store access for preloading (single-threaded setup only).
   void Preload(const std::string& key, const std::string& value);
 
+  // Removes `key` under its stripe lock (the text protocol has no delete).
+  // Returns true if it was present.
+  bool Delete(const std::string& key);
+
   int stripes() const { return static_cast<int>(stripes_.size()); }
 
   // Merges the per-lane service-time recordings into the per-kind summary
@@ -104,6 +108,9 @@ class KvStripedStore {
   };
 
   SKYLOFT_NO_SWITCH Stripe& StripeOf(const std::string& key);
+  // SCAN body: the first `limit` pairs with key >= start in global key order
+  // ("k=v;k=v;..."), or "EMPTY".
+  std::string ScanReply(const std::string& start, std::size_t limit);
   SKYLOFT_NO_SWITCH static void SpinLock(std::atomic_flag& flag);
   SKYLOFT_NO_SWITCH static void SpinUnlock(std::atomic_flag& flag);
 

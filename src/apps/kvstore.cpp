@@ -1,5 +1,7 @@
 #include "src/apps/kvstore.h"
 
+#include <algorithm>
+
 #include "src/base/logging.h"
 
 namespace skyloft {
@@ -56,6 +58,7 @@ void KvStore::Grow() {
   slots_.resize(old.size() * 2);
   size_ = 0;
   tombstones_ = 0;
+  order_valid_ = false;  // every key moves to a new slot
   for (Slot& slot : old) {
     if (slot.state == Slot::State::kFull) {
       bool found = false;
@@ -87,7 +90,7 @@ bool KvStore::Set(const std::string& key, const std::string& value) {
   slot.key = key;
   slot.value = value;
   size_++;
-  ordered_keys_[key] = true;
+  order_valid_ = false;
   return true;
 }
 
@@ -112,19 +115,38 @@ bool KvStore::Delete(const std::string& key) {
   slot.value.clear();
   size_--;
   tombstones_++;
-  ordered_keys_.erase(key);
+  order_valid_ = false;
   return true;
+}
+
+void KvStore::BuildOrder() const {
+  order_.clear();
+  order_.reserve(size_);
+  for (std::size_t i = 0; i < slots_.size(); i++) {
+    if (slots_[i].state == Slot::State::kFull) {
+      order_.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  std::sort(order_.begin(), order_.end(),
+            [this](std::uint32_t a, std::uint32_t b) { return slots_[a].key < slots_[b].key; });
+  order_valid_ = true;
 }
 
 std::vector<std::pair<std::string, std::string>> KvStore::Scan(const std::string& start,
                                                                std::size_t limit) const {
+  if (!order_valid_) {
+    BuildOrder();
+  }
+  auto it = std::lower_bound(order_.begin(), order_.end(), start,
+                             [this](std::uint32_t index, const std::string& key) {
+                               return slots_[index].key < key;
+                             });
+  const auto count = std::min<std::size_t>(limit, static_cast<std::size_t>(order_.end() - it));
   std::vector<std::pair<std::string, std::string>> out;
-  out.reserve(limit);
-  for (auto it = ordered_keys_.lower_bound(start); it != ordered_keys_.end() && out.size() < limit;
-       ++it) {
-    auto value = Get(it->first);
-    SKYLOFT_DCHECK(value.has_value());
-    out.emplace_back(it->first, *value);
+  out.reserve(count);
+  for (const auto end = it + static_cast<std::ptrdiff_t>(count); it != end; ++it) {
+    const Slot& slot = slots_[*it];
+    out.emplace_back(slot.key, slot.value);
   }
   return out;
 }

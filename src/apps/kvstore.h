@@ -2,14 +2,16 @@
 // Memcached / RocksDB servers of §5.3. Used by the host-runtime examples
 // (actual hash lookups on actual threads) and by the application tests.
 //
-// Open addressing with linear probing and an ordered index for SCAN. Not
-// thread-safe by itself; callers serialize through the runtime's mutex (as
-// the example server does) or shard per core.
+// Open addressing with linear probing. Keys live only in the hash slots; the
+// ordered view SCAN needs is a sorted vector of full-slot indices, rebuilt
+// lazily on the first Scan() after the key set changed (DESIGN.md §14).
+// Not thread-safe by itself, and that includes Scan(), which may rebuild
+// the view: callers serialize through the runtime's mutex (as the example
+// server does) or shard per core.
 #ifndef SRC_APPS_KVSTORE_H_
 #define SRC_APPS_KVSTORE_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -28,6 +30,9 @@ class KvStore {
   bool Delete(const std::string& key);
 
   // Ordered range scan: up to `limit` (key, value) pairs with key >= start.
+  // Costs one binary search plus `limit` steps once the ordered view is
+  // built; an insert of a new key, a Delete or a Grow invalidates the view,
+  // an overwrite does not.
   std::vector<std::pair<std::string, std::string>> Scan(const std::string& start,
                                                         std::size_t limit) const;
 
@@ -46,13 +51,16 @@ class KvStore {
   void Grow();
   // Returns slot index for key: the match if present, else the insert slot.
   std::size_t Probe(const std::string& key, std::uint64_t hash, bool* found) const;
+  // Refills `order_` with the full slots' indices, sorted by key.
+  void BuildOrder() const;
 
   std::vector<Slot> slots_;
   std::size_t size_ = 0;
   std::size_t tombstones_ = 0;
-  // Ordered view for SCAN (RocksDB-style range queries); values live in the
-  // hash table, the index maps key -> slot generation-checked lookup.
-  std::map<std::string, bool> ordered_keys_;
+  // Ordered view for SCAN (RocksDB-style range queries): indices into
+  // `slots_`, valid only while `order_valid_`.
+  mutable std::vector<std::uint32_t> order_;
+  mutable bool order_valid_ = false;
 };
 
 }  // namespace skyloft

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <bit>
 
-#include "src/base/logging.h"
-
 namespace skyloft {
 
-LatencyHistogram::LatencyHistogram() : buckets_(kBucketRanges * kSubBuckets, 0) {}
+LatencyHistogram::LatencyHistogram() = default;
 
 int LatencyHistogram::BucketIndex(std::int64_t value) {
   if (value < kSubBuckets) {
@@ -42,9 +40,11 @@ void LatencyHistogram::Record(std::int64_t value) {
   if (value < 0) {
     value = 0;
   }
-  const int index = BucketIndex(value);
-  SKYLOFT_DCHECK(index >= 0 && index < static_cast<int>(buckets_.size()));
-  buckets_[static_cast<std::size_t>(index)]++;
+  const auto index = static_cast<std::size_t>(BucketIndex(value));
+  if (index >= buckets_.size()) {
+    buckets_.resize(index + 1);
+  }
+  buckets_[index]++;
   if (count_ == 0) {
     min_ = value;
     max_ = value;
@@ -86,7 +86,7 @@ double LatencyHistogram::Mean() const {
 }
 
 void LatencyHistogram::Reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
+  buckets_.clear();  // keeps the capacity: re-recording does not allocate
   count_ = 0;
   min_ = 0;
   max_ = 0;
@@ -94,8 +94,10 @@ void LatencyHistogram::Reset() {
 }
 
 void LatencyHistogram::Merge(const LatencyHistogram& other) {
-  SKYLOFT_CHECK(buckets_.size() == other.buckets_.size());
-  for (std::size_t i = 0; i < buckets_.size(); i++) {
+  if (other.buckets_.size() > buckets_.size()) {
+    buckets_.resize(other.buckets_.size());
+  }
+  for (std::size_t i = 0; i < other.buckets_.size(); i++) {
     buckets_[i] += other.buckets_[i];
   }
   if (other.count_ > 0) {
@@ -112,7 +114,6 @@ void LatencyHistogram::Merge(const LatencyHistogram& other) {
 }
 
 LatencyHistogram LatencyHistogram::DeltaSince(const LatencyHistogram& baseline) const {
-  SKYLOFT_CHECK(buckets_.size() == baseline.buckets_.size());
   LatencyHistogram delta;
   // `prefix` tracks whether `baseline` is a strict prefix of this histogram
   // (no Reset() between the snapshots); only then do cumulative extremes and
@@ -120,9 +121,19 @@ LatencyHistogram LatencyHistogram::DeltaSince(const LatencyHistogram& baseline) 
   bool prefix = count_ >= baseline.count_ && sum_ >= baseline.sum_;
   int first = -1;
   int last = -1;
+  // A baseline bucket past this histogram's grown length counts as a zero
+  // current bucket: a non-empty one there means a Reset() intervened.
+  const auto& base_buckets = baseline.buckets_;
+  for (std::size_t i = buckets_.size(); i < base_buckets.size(); i++) {
+    if (base_buckets[i] != 0) {
+      prefix = false;
+      break;
+    }
+  }
+  delta.buckets_.resize(buckets_.size());
   for (std::size_t i = 0; i < buckets_.size(); i++) {
     const std::uint64_t cur = buckets_[i];
-    const std::uint64_t base = baseline.buckets_[i];
+    const std::uint64_t base = i < base_buckets.size() ? base_buckets[i] : 0;
     if (cur < base) {
       // A Reset() ran between the snapshots; saturate at zero rather than
       // wrapping. The window under-reports once and the caller's next
@@ -141,6 +152,7 @@ LatencyHistogram LatencyHistogram::DeltaSince(const LatencyHistogram& baseline) 
     }
     last = static_cast<int>(i);
   }
+  delta.buckets_.resize(static_cast<std::size_t>(last + 1));
   if (delta.count_ == 0) {
     // Empty window: a defined empty histogram (Percentile() -> kEmptySentinel,
     // Mean() -> 0). No division or bucket scan happens on this path.

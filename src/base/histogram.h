@@ -7,6 +7,19 @@
 // bound overshoots the true value by at most 1/64 (~1.6%); Percentile()
 // additionally clamps to the exact tracked [min, max]. This is what every
 // benchmark uses to report p50/p99/p99.9 wakeup latencies and slowdowns.
+//
+// Storage grows on demand: the bucket vector is only as long as the highest
+// bucket index recorded or merged so far, not all 57 x 128 buckets (58 KB)
+// up front, so a histogram of microsecond service times costs a few KB.
+// Bucket boundaries never move, so every query answers exactly as it would
+// over the full array.
+//
+// Single writer, no concurrent readers: nothing here is synchronized. A
+// Record() or Merge() that grows the vector reallocates it, so a read racing
+// a write is a use-after-free, not merely a torn value. Shared recorders
+// serialize through their own lock (the kv server's per-lane spinlocks), and
+// readers such as MetricsRegistry::Snapshot() look only once recording has
+// quiesced.
 #ifndef SRC_BASE_HISTOGRAM_H_
 #define SRC_BASE_HISTOGRAM_H_
 
@@ -64,13 +77,12 @@ class LatencyHistogram {
  private:
   static constexpr int kSubBucketBits = 7;  // 128 sub-buckets: <=1/64 relative error
   static constexpr int kSubBuckets = 1 << kSubBucketBits;
-  static constexpr int kBucketRanges = 64 - kSubBucketBits;
 
   static int BucketIndex(std::int64_t value);
   static std::int64_t BucketUpperBound(int index);
   static std::int64_t BucketLowerBound(int index);
 
-  std::vector<std::uint64_t> buckets_;
+  std::vector<std::uint64_t> buckets_;  // up to the highest index recorded or merged
   std::uint64_t count_ = 0;
   std::int64_t min_ = 0;
   std::int64_t max_ = 0;

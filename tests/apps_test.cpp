@@ -2,6 +2,9 @@
 // the real KV store.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "src/simcore/simulation.h"
 #include "src/apps/batch_app.h"
 #include "src/apps/kvstore.h"
@@ -71,6 +74,40 @@ TEST(KvStoreTest, ScanSkipsDeleted) {
   const auto result = kv.Scan("", 10);
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].first, "b");
+}
+
+TEST(KvStoreTest, ScanAfterGrowAndDeleteMatchesOrderedModel) {
+  // The ordered view is built by the first Scan and must be rebuilt after a
+  // Grow (every key moves slot), an insert or a Delete.
+  KvStore kv(16);
+  std::map<std::string, std::string> model;
+  const auto check = [&] {
+    const auto result = kv.Scan("", 1000);
+    ASSERT_EQ(result.size(), model.size());
+    auto it = model.begin();
+    for (const auto& [key, value] : result) {
+      EXPECT_EQ(key, it->first);
+      EXPECT_EQ(value, it->second);
+      ++it;
+    }
+  };
+  for (int i = 0; i < 10; i++) {
+    kv.Set("key" + std::to_string(i), "v" + std::to_string(i));
+    model["key" + std::to_string(i)] = "v" + std::to_string(i);
+  }
+  check();
+  for (int i = 10; i < 300; i++) {  // grows 16 -> 512 slots
+    kv.Set("key" + std::to_string(i), "v" + std::to_string(i));
+    model["key" + std::to_string(i)] = "v" + std::to_string(i);
+  }
+  check();
+  for (int i = 0; i < 300; i += 3) {
+    kv.Delete("key" + std::to_string(i));
+    model.erase("key" + std::to_string(i));
+  }
+  kv.Set("key1", "overwritten");
+  model["key1"] = "overwritten";
+  check();
 }
 
 // ---- Workload mixes ----

@@ -200,6 +200,86 @@ TEST(HistogramTest, ResetClears) {
   EXPECT_EQ(h.Percentile(0.99), 0);
 }
 
+// Bucket storage grows to the highest index recorded or merged, so two
+// histograms of different value ranges have bucket vectors of different
+// lengths. Merging in either direction must still equal recording every
+// sample into one histogram.
+void ExpectSameHistogram(const LatencyHistogram& got, const LatencyHistogram& want) {
+  EXPECT_EQ(got.Count(), want.Count());
+  EXPECT_EQ(got.Min(), want.Min());
+  EXPECT_EQ(got.Max(), want.Max());
+  EXPECT_DOUBLE_EQ(got.Mean(), want.Mean());
+  for (const double q : {0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0}) {
+    EXPECT_EQ(got.Percentile(q), want.Percentile(q)) << "q=" << q;
+  }
+}
+
+TEST(HistogramTest, MergeAcrossGrownLengthsMatchesOneHistogram) {
+  for (const std::uint64_t seed : {1u, 7u, 42u, 2026u}) {
+    Rng rng(seed);
+    LatencyHistogram short_range;  // values < 1000: a few hundred buckets
+    LatencyHistogram long_range;   // values up to 1e9: ~2600 buckets
+    LatencyHistogram all;
+    for (int i = 0; i < 3000; i++) {
+      const auto v = static_cast<std::int64_t>(rng.NextBelow(1000));
+      short_range.Record(v);
+      all.Record(v);
+    }
+    for (int i = 0; i < 3000; i++) {
+      const auto v = static_cast<std::int64_t>(rng.NextBelow(1'000'000'000));
+      long_range.Record(v);
+      all.Record(v);
+    }
+    LatencyHistogram short_into_long = long_range;
+    short_into_long.Merge(short_range);
+    LatencyHistogram long_into_short = short_range;
+    long_into_short.Merge(long_range);
+    SCOPED_TRACE(seed);
+    ExpectSameHistogram(short_into_long, all);
+    ExpectSameHistogram(long_into_short, all);
+  }
+}
+
+TEST(HistogramTest, DeltaSinceLongerBaselineAfterResetIsTheShortWindow) {
+  for (const std::uint64_t seed : {3u, 11u, 99u}) {
+    Rng rng(seed);
+    LatencyHistogram h;
+    h.Record(1'000'000);  // grows the vector far past the samples below
+    const LatencyHistogram baseline = h;
+    h.Reset();
+    LatencyHistogram fresh;
+    // Enough small samples that count and sum both exceed the baseline's,
+    // so only the baseline's bucket past the current length shows the Reset.
+    for (int i = 0; i < 40'000; i++) {
+      const auto v = static_cast<std::int64_t>(10 + rng.NextBelow(90));
+      h.Record(v);
+      fresh.Record(v);
+    }
+    ASSERT_GE(h.Count(), baseline.Count());
+    ASSERT_GE(h.Mean() * static_cast<double>(h.Count()), 1'000'000.0);
+    SCOPED_TRACE(seed);
+    // Values below 128 sit in exact buckets, so the window reconstructed
+    // from bucket bounds equals a fresh histogram of the new samples.
+    ExpectSameHistogram(h.DeltaSince(baseline), fresh);
+  }
+}
+
+TEST(HistogramTest, EmptyAfterGrowthReturnsSentinel) {
+  LatencyHistogram h;
+  h.Record(123'456'789);
+  h.Reset();
+  EXPECT_EQ(h.Count(), 0u);
+  EXPECT_EQ(h.Percentile(0.5), LatencyHistogram::kEmptySentinel);
+  EXPECT_EQ(h.Percentile(1.0), LatencyHistogram::kEmptySentinel);
+  LatencyHistogram empty;
+  empty.Merge(h);
+  EXPECT_EQ(empty.Count(), 0u);
+  EXPECT_EQ(empty.Percentile(0.99), LatencyHistogram::kEmptySentinel);
+  const LatencyHistogram window = empty.DeltaSince(LatencyHistogram());
+  EXPECT_EQ(window.Count(), 0u);
+  EXPECT_EQ(window.Percentile(0.5), LatencyHistogram::kEmptySentinel);
+}
+
 // Property: percentile error is bounded by the bucket resolution (<1%).
 class HistogramErrorTest : public ::testing::TestWithParam<std::int64_t> {};
 
