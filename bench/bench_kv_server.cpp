@@ -15,10 +15,10 @@
 //
 // Each point runs under both host-scheduler drivers: the lock-free
 // two-level-runqueue work stealer and the force_locked shard-mutex
-// baseline, making the scheduler path cost visible in p99/p999. On io_uring
-// builds the whole sweep additionally runs once per data path — completion
-// (multishot recv / provided buffers / async sends) vs readiness — with a
-// syscalls/request column computed from the engines' syscall counters.
+// baseline, making the scheduler path cost visible in p99/p999. The whole
+// sweep runs once per data path — completion (a kIoUring engine: multishot
+// recv / provided buffers / async sends) vs readiness (a kEpoll engine) —
+// with a syscalls/request column computed from the engines' syscall counters.
 //
 // The connection sweep includes a many-connection point (10k in --smoke,
 // 100k in --full if the fd limit allows) to exercise uthread-per-connection
@@ -676,23 +676,16 @@ int main(int argc, char** argv) {
                    "syscalls/request = (io_uring_enter + read + write + accept) / served "
                    "requests over the whole point (warmup included on both sides)");
 
-  // Data-path sweep: on an io_uring build each point runs twice — once on the
-  // completion path (multishot recv + provided buffers + async sends, batched
-  // submission) and once with IoEngineOptions::completion off, which is the
-  // readiness POLL_ADD baseline. Epoll builds only have readiness.
-  std::vector<bool> completion_modes;
-#ifdef SKYLOFT_IO_URING
-  completion_modes = {true, false};
-#else
-  completion_modes = {false};
-#endif
+  // Data-path sweep: each point runs twice — once on the completion path
+  // (kIoUring: multishot recv + provided buffers + async sends, batched
+  // submission) and once on the readiness baseline (kEpoll).
 
   PrintHeader("kv_server over loopback TCP",
               {"path", "policy", "mode", "conns", "offered", "achieved", "p99_ns", "sys/req"});
 
   bool syscall_gate_failed = false;
   bool scan_gate_failed = false;
-  for (const bool completion_on : completion_modes) {
+  for (const bool completion_on : {true, false}) {
     for (const bool force_locked : {false, true}) {
       for (const PointSpec& spec : points) {
         LoadPointConfig cfg;
@@ -712,13 +705,14 @@ int main(int argc, char** argv) {
         // uthreads the default 64 KB each would be the dominant allocation.
         ropts.stack_size = 16 * 1024;
         ropts.io_engine = true;
-        ropts.io.completion = completion_on;
+        ropts.io.backend = completion_on ? IoEngineOptions::Backend::kIoUring
+                                         : IoEngineOptions::Backend::kEpoll;
         ropts.sched.force_locked = force_locked;
 
         Runtime rt(ropts);
-        // What the engine actually armed: a capable kernel + completion_on
-        // gives the completion path; everything else serves readiness. A
-        // completion request that fell back is reported as what it ran.
+        // What the engine actually runs: a kernel that fails the io_uring
+        // probe leaves a kIoUring engine on epoll, and the row is reported as
+        // what it ran.
         const bool completion_active =
             rt.io_engine(0) != nullptr && rt.io_engine(0)->completion();
         if (completion_on && !completion_active) {

@@ -1,7 +1,7 @@
 // A real networked KV server on the Skyloft host runtime.
 //
 // The serving path lives in src/apps/kv_server_net: per-worker I/O engine
-// cores (epoll, or io_uring when built with SKYLOFT_IO_URING), SO_REUSEPORT
+// cores (epoll, or io_uring's completion data path), SO_REUSEPORT
 // listener sharding, one handler uthread per TCP connection, frame-codec
 // requests answered via scatter/gather writev. This main just stands the
 // server up on loopback, drives it with a few closed-loop client threads
@@ -9,7 +9,7 @@
 // registry — per-op-kind service latencies, preemption/steal counters —
 // as JSON. For the measured sweep, see bench/bench_kv_server.
 //
-//   ./build/examples/kv_server [workers] [clients] [requests_per_client]
+//   ./build/examples/kv_server [workers] [clients] [requests_per_client] [epoll|io_uring]
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -133,9 +133,17 @@ int main(int argc, char** argv) {
   const int workers = argc > 1 ? std::atoi(argv[1]) : 4;
   const int clients = argc > 2 ? std::atoi(argv[2]) : 16;
   const int requests = argc > 3 ? std::atoi(argv[3]) : 5000;
+  const std::string backend = argc > 4 ? argv[4] : "epoll";
+  if (backend != "epoll" && backend != "io_uring") {
+    std::fprintf(stderr, "unknown backend '%s' (epoll or io_uring)\n", backend.c_str());
+    return 2;
+  }
 
-  Runtime rt(RuntimeOptions{
-      .workers = workers, .preempt_period_us = 1000, .io_engine = true});
+  RuntimeOptions ropts{.workers = workers, .preempt_period_us = 1000, .io_engine = true};
+  if (backend == "io_uring") {
+    ropts.io.backend = skyloft::IoEngineOptions::Backend::kIoUring;
+  }
+  Runtime rt(ropts);
   std::uint64_t served = 0;
   bool udp_ok = false;
   double secs = 0.0;
@@ -179,8 +187,12 @@ int main(int argc, char** argv) {
     metrics_json = skyloft::MetricsRegistry::Global().ToJson();
   });
 
+  // What the engines run, after any fallback of a refused io_uring.
+  const bool completion = rt.io_engine(0)->completion();
   std::printf("kv_server: %d workers, %d clients x %d requests over TCP (udp check: %s)\n",
               workers, clients, requests, udp_ok ? "ok" : "FAILED");
+  std::printf("io backend: %s requested, %s data path\n", backend.c_str(),
+              completion ? "completion" : "readiness");
   std::printf("throughput: %.0f req/s (wall %.2fs)\n", static_cast<double>(served) / secs,
               secs);
   std::printf("%s\n", metrics_json.c_str());

@@ -323,8 +323,8 @@ void KvServerNet::Start() {
       if (tcp_port_ == 0) {
         tcp_port_ = BoundPort(fd);  // first bind fixes the group's port
       }
-      // kListener arms multishot accept on a completion-capable engine and
-      // degrades to readiness (POLL_ADD / epoll) everywhere else.
+      // kListener arms multishot accept on a kIoUring engine and degrades
+      // to epoll readiness on an epoll engine.
       listener->tcp = engine->Register(fd, IoRegisterMode::kListener);
       SKYLOFT_CHECK(listener->tcp != nullptr);
     }

@@ -17,11 +17,11 @@
 //   - a UDP uthread per worker serving one frame per datagram.
 //
 // Every server loop has TWO data paths selected per handle at runtime:
-//   - readiness (epoll, or io_uring POLL_ADD fallback): the classic
-//     accept4/read/writev/recvfrom/sendto loops above, self-reporting their
-//     syscalls via IoEngine::CountSys* for the syscalls/request metric;
-//   - completion (io_uring with multishot + provided buffer rings): accepts
-//     arrive via TakeAccepted, request bytes via PopRecv from kernel-filled
+//   - readiness (an epoll engine): the classic accept4/read/writev/
+//     recvfrom/sendto loops above, self-reporting their syscalls via
+//     IoEngine::CountSys* for the syscalls/request metric;
+//   - completion (an io_uring engine: multishot + provided buffer rings):
+//     accepts arrive via TakeAccepted, request bytes via PopRecv from kernel-filled
 //     provided buffers (recycled after FrameDecoder::Feed), and responses go
 //     out through the engine's async send queue (SendEnqueue) — the steady
 //     state makes zero syscalls per request; the engine batches one

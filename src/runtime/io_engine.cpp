@@ -1,61 +1,63 @@
 #include "src/runtime/io_engine.h"
 
 #include <fcntl.h>
+#include <linux/io_uring.h>
+#include <poll.h>
 #include <sys/epoll.h>
+#include <sys/mman.h>
 #include <sys/socket.h>
+#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <deque>
 #include <memory>
+#include <string>
 
 #include "src/base/logging.h"
 #include "src/runtime/uthread.h"
-
-#ifdef SKYLOFT_IO_URING
-#include <linux/io_uring.h>
-#include <poll.h>
-#include <sys/mman.h>
-#include <sys/syscall.h>
-
-#include <deque>
-#include <string>
-
-// The completion data path needs the multishot-recv generation of the uapi
-// header (kernel >= 6.0: IORING_RECV_MULTISHOT, provided buffer rings,
-// io_uring_recvmsg_out all landed together). Older headers compile the
-// readiness-only backend; newer headers still fall back at RUNTIME when the
-// kernel's feature probe comes back short.
-#if defined(IORING_RECV_MULTISHOT) && defined(IORING_ACCEPT_MULTISHOT)
-#define SKYLOFT_URING_COMPLETION 1
-#endif
-#endif  // SKYLOFT_IO_URING
 
 namespace skyloft {
 
 namespace {
 
-// Low bits of a CQE user_data distinguish what completed for a handle
-// (IoHandle is cache-line aligned and DgramSendOp heap-allocated, so the
-// bits are free).
+// Low bits of a CQE user_data say what completed (IoHandle is cache-line
+// aligned and DgramSendOp heap-allocated, so the bits are free). The epoll
+// bridge's poll carries no pointer: its user_data is the bare tag.
 constexpr std::uintptr_t kTagMask = 0x7;
-constexpr std::uintptr_t kTagMainPoll = 0;     // multishot POLLIN|HUP|ERR
-constexpr std::uintptr_t kTagRemove = 1;       // cancel CQE (POLL_REMOVE / ASYNC_CANCEL)
-constexpr std::uintptr_t kTagWritePoll = 2;    // oneshot POLLOUT
-constexpr std::uintptr_t kTagRemoveWrite = 3;  // POLL_REMOVE of the write poll
-constexpr std::uintptr_t kTagRecv = 4;         // multishot RECV/RECVMSG segment
-constexpr std::uintptr_t kTagAccept = 5;       // multishot ACCEPT
-constexpr std::uintptr_t kTagSend = 6;         // stream async send (SEND/SENDMSG)
-constexpr std::uintptr_t kTagDgram = 7;        // datagram async SENDMSG (op ptr)
+constexpr std::uintptr_t kTagEpoll = 0;   // the epoll bridge's multishot POLL_ADD
+constexpr std::uintptr_t kTagCancel = 1;  // ASYNC_CANCEL queued by Deregister
+constexpr std::uintptr_t kTagRecv = 2;    // multishot RECV/RECVMSG segment
+constexpr std::uintptr_t kTagAccept = 3;  // multishot ACCEPT
+constexpr std::uintptr_t kTagSend = 4;    // stream async send (SEND/SENDMSG)
+constexpr std::uintptr_t kTagDgram = 5;   // datagram async SENDMSG (op ptr)
 
-// Iovec capacity of a stream handle's in-flight send (send_batch clamps to
-// this).
+// Events handled per batch: one epoll_wait's worth, and the CQE budget of
+// one Poll.
+constexpr int kPollBatch = 256;
+// Ring sizes. Multishot recv can post many CQEs per submitted SQE, so the
+// CQ is far deeper than the SQ.
+constexpr unsigned kSqEntries = 256;
+constexpr unsigned kCqEntries = 4096;
+// Provided buffers per engine (a power of two) and bytes per buffer.
+constexpr unsigned kBufEntries = 1024;
+constexpr std::size_t kBufSize = 2048;
+// Registered-file table size; connections past it use raw fds.
+constexpr int kFixedFileSlots = 4096;
+// Iovecs, so frames, folded into one stream send.
 constexpr int kMaxSendIovs = 16;
 
 // Every engine registers its provided-buffer ring under one group id; rings
 // are per-engine (per ring fd), so the ids never collide across engines.
 constexpr std::uint16_t kBufGroup = 0;
+
+// Deferred-submission thresholds (see the flush policy at the end of
+// UringPoll): flush once this many SQEs are queued, or after this many poll
+// rounds with anything queued at all, whichever comes first.
+constexpr unsigned kSubmitEagerBatch = 32;
+constexpr int kSubmitRoundLimit = 8;
 
 void IncLane(ShardedCounter* c, int lane, std::uint64_t n = 1) {
   if (c != nullptr) {
@@ -63,86 +65,7 @@ void IncLane(ShardedCounter* c, int lane, std::uint64_t n = 1) {
   }
 }
 
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// io_uring backend plumbing (raw syscalls; liburing is not a dependency).
-// Compiled only under SKYLOFT_IO_URING; every entry point has an epoll
-// fallback so a kernel that refuses io_uring_setup (seccomp'd containers,
-// CONFIG_IO_URING=n) degrades cleanly at runtime.
-// ---------------------------------------------------------------------------
-
-#ifdef SKYLOFT_IO_URING
-
-struct IoEngine::UringState {
-  io_uring_params params{};
-  // SQ ring.
-  void* sq_ring = nullptr;
-  std::size_t sq_ring_len = 0;
-  unsigned* sq_head = nullptr;
-  unsigned* sq_tail = nullptr;
-  unsigned sq_mask = 0;
-  unsigned* sq_array = nullptr;
-  unsigned* sq_flags = nullptr;  // NEED_WAKEUP (SQPOLL) / CQ_OVERFLOW
-  io_uring_sqe* sqes = nullptr;
-  std::size_t sqes_len = 0;
-  bool sqpoll = false;
-  // CQ ring (separate mmap unless IORING_FEAT_SINGLE_MMAP).
-  void* cq_ring = nullptr;
-  std::size_t cq_ring_len = 0;
-  unsigned* cq_head = nullptr;
-  unsigned* cq_tail = nullptr;
-  unsigned cq_mask = 0;
-  io_uring_cqe* cqes = nullptr;
-  // SQE production is multi-producer (RequestWritable, Deregister and the
-  // completion path's SendEnqueue run on whatever worker the handler uthread
-  // was stolen to); short spinlock.
-  std::atomic_flag sqe_spin = ATOMIC_FLAG_INIT;
-  // Mutated under sqe_spin; atomic so UringPoll's flush heuristic can read it
-  // without taking the lock (a stale value just defers one round).
-  std::atomic<unsigned> to_submit{0};
-
-#ifdef SKYLOFT_URING_COMPLETION
-  // Provided buffer ring (IORING_REGISTER_PBUF_RING) + its backing arena.
-  // Producer side (recycling consumed buffers) is multi-worker: a stolen
-  // handler returns buffers from wherever it runs; buf_spin guards the
-  // shadow tail. NOTE: slots are addressed via `bufs` (the ring base), NOT
-  // io_uring_buf_ring::bufs — that flex-array member sits behind a
-  // __DECLARE_FLEX_ARRAY empty struct whose size is 0 in C but >= 1 in C++,
-  // shifting the member to offset 8 and silently corrupting every
-  // descriptor the kernel reads from offset 0.
-  io_uring_buf_ring* buf_ring = nullptr;
-  io_uring_buf* bufs = nullptr;  // == ring base; slot i at bufs[i]
-  std::size_t buf_ring_len = 0;
-  unsigned buf_entries = 0;
-  unsigned buf_mask = 0;
-  std::unique_ptr<char[]> buf_arena;
-  std::size_t buf_size = 0;
-  std::atomic_flag buf_spin = ATOMIC_FLAG_INIT;
-  std::uint16_t buf_tail = 0;  // producer shadow of buf_ring->tail
-  // Recycle epoch: bumped on every returned buffer so the home engine knows
-  // when re-arming an ENOBUFS-stalled recv can make progress.
-  std::atomic<std::uint64_t> buf_recycled{0};
-  // Registered-file table (IORING_REGISTER_FILES, sparse): free slot indices,
-  // guarded by the engine's handles lock.
-  bool fixed_files = false;
-  std::vector<int> free_slots;
-#endif
-};
-
-// Heap-owned async datagram reply: the SENDMSG op's msghdr, destination and
-// payload must all outlive submission, so they travel with the op and are
-// freed when its CQE arrives (tag kTagDgram carries the op pointer).
-struct IoEngine::DgramSendOp {
-  IoHandle* handle = nullptr;
-  sockaddr_in to{};
-  std::string payload;
-  iovec iov{};
-  msghdr msg{};
-};
-
-namespace {
-
+// io_uring through raw syscalls; liburing is not a dependency.
 int SysIoUringSetup(unsigned entries, io_uring_params* p) {
   return static_cast<int>(syscall(__NR_io_uring_setup, entries, p));
 }
@@ -156,371 +79,85 @@ int SysIoUringRegister(int fd, unsigned opcode, void* arg, unsigned nr_args) {
   return static_cast<int>(syscall(__NR_io_uring_register, fd, opcode, arg, nr_args));
 }
 
-// Deferred-submission thresholds (see the flush policy at the end of
-// UringPoll): flush once this many SQEs are queued, or after this many poll
-// rounds with anything queued at all, whichever comes first.
-constexpr unsigned kSubmitEagerBatch = 32;
-constexpr int kSubmitRoundLimit = 8;
-
-unsigned RoundUpPow2(unsigned v) {
-  unsigned p = 1;
-  while (p < v) {
-    p <<= 1;
-  }
-  return p;
+void* MapRing(int fd, std::size_t len, off_t offset) {
+  void* p = mmap(nullptr, len, PROT_READ | PROT_WRITE, MAP_SHARED | MAP_POPULATE, fd, offset);
+  return p == MAP_FAILED ? nullptr : p;
 }
 
-unsigned PollBitsFromRevents(unsigned revents) {
-  unsigned bits = 0;
-  if (revents & (POLLIN | POLLRDHUP)) {
-    bits |= kIoReadable;
+// Logged once per process, not per engine: every worker's engine probes the
+// same kernel, and a line per engine would just repeat it.
+void LogUringFallbackOnce(const char* why) {
+  static std::atomic<bool> logged{false};
+  if (!logged.exchange(true, std::memory_order_acq_rel)) {
+    SKYLOFT_LOG(kInfo) << "io_uring completion data path unavailable (" << why
+                       << "); the engine serves on epoll";
   }
-  if (revents & POLLOUT) {
-    bits |= kIoWritable;
-  }
-  if (revents & POLLHUP) {
-    bits |= kIoHup;
-  }
-  if (revents & (POLLERR | POLLNVAL)) {
-    bits |= kIoError;
-  }
-  return bits;
 }
 
 }  // namespace
 
-bool IoEngine::UringInit(int entries) {
-  auto state = std::make_unique<UringState>();
-  // Multishot recv can post many CQEs per submitted SQE, so ask for a CQ
-  // several times deeper than the SQ; degrade gracefully for kernels that
-  // reject CQSIZE or (unprivileged, pre-5.11) SQPOLL.
-  auto try_setup = [&](bool sqpoll, bool cqsize) {
-    std::memset(&state->params, 0, sizeof(state->params));
-    if (cqsize) {
-      state->params.flags |= IORING_SETUP_CQSIZE;
-      state->params.cq_entries = RoundUpPow2(std::max(4096u, 8u * static_cast<unsigned>(entries)));
-    }
-    if (sqpoll) {
-      state->params.flags |= IORING_SETUP_SQPOLL;
-      state->params.sq_thread_idle = 100;  // ms before the SQ thread naps
-    }
-    return SysIoUringSetup(static_cast<unsigned>(entries), &state->params);
-  };
-  int fd = try_setup(options_.sqpoll, true);
-  if (fd < 0 && options_.sqpoll) {
-    fd = try_setup(false, true);
-  }
-  if (fd < 0) {
-    fd = try_setup(false, false);
-  }
-  if (fd < 0) {
-    return false;
-  }
-  UringState* s = state.get();
-  s->sqpoll = (s->params.flags & IORING_SETUP_SQPOLL) != 0;
-  s->sq_ring_len = s->params.sq_off.array + s->params.sq_entries * sizeof(unsigned);
-  s->cq_ring_len = s->params.cq_off.cqes + s->params.cq_entries * sizeof(io_uring_cqe);
-  const bool single_mmap = (s->params.features & IORING_FEAT_SINGLE_MMAP) != 0;
-  if (single_mmap) {
-    s->sq_ring_len = s->cq_ring_len = std::max(s->sq_ring_len, s->cq_ring_len);
-  }
-  s->sq_ring = mmap(nullptr, s->sq_ring_len, PROT_READ | PROT_WRITE, MAP_SHARED | MAP_POPULATE,
-                    fd, IORING_OFF_SQ_RING);
-  if (s->sq_ring == MAP_FAILED) {
-    close(fd);
-    return false;
-  }
-  s->cq_ring = single_mmap
-                   ? s->sq_ring
-                   : mmap(nullptr, s->cq_ring_len, PROT_READ | PROT_WRITE,
-                          MAP_SHARED | MAP_POPULATE, fd, IORING_OFF_CQ_RING);
-  if (s->cq_ring == MAP_FAILED) {
-    munmap(s->sq_ring, s->sq_ring_len);
-    close(fd);
-    return false;
-  }
-  s->sqes_len = s->params.sq_entries * sizeof(io_uring_sqe);
-  s->sqes = static_cast<io_uring_sqe*>(mmap(nullptr, s->sqes_len, PROT_READ | PROT_WRITE,
-                                            MAP_SHARED | MAP_POPULATE, fd, IORING_OFF_SQES));
-  if (s->sqes == MAP_FAILED) {
-    if (!single_mmap) {
-      munmap(s->cq_ring, s->cq_ring_len);
-    }
-    munmap(s->sq_ring, s->sq_ring_len);
-    close(fd);
-    return false;
-  }
-  auto* sq = static_cast<unsigned char*>(s->sq_ring);
-  s->sq_head = reinterpret_cast<unsigned*>(sq + s->params.sq_off.head);
-  s->sq_tail = reinterpret_cast<unsigned*>(sq + s->params.sq_off.tail);
-  s->sq_mask = *reinterpret_cast<unsigned*>(sq + s->params.sq_off.ring_mask);
-  s->sq_array = reinterpret_cast<unsigned*>(sq + s->params.sq_off.array);
-  s->sq_flags = reinterpret_cast<unsigned*>(sq + s->params.sq_off.flags);
-  auto* cq = static_cast<unsigned char*>(s->cq_ring);
-  s->cq_head = reinterpret_cast<unsigned*>(cq + s->params.cq_off.head);
-  s->cq_tail = reinterpret_cast<unsigned*>(cq + s->params.cq_off.tail);
-  s->cq_mask = *reinterpret_cast<unsigned*>(cq + s->params.cq_off.ring_mask);
-  s->cqes = reinterpret_cast<io_uring_cqe*>(cq + s->params.cq_off.cqes);
-
-  uring_fd_ = fd;
-  uring_ = state.release();
-  completion_ = UringSetupCompletion();
-  return true;
-}
-
-void IoEngine::UringShutdown() {
-  if (uring_ == nullptr) {
-    return;
-  }
-  UringTeardownCompletion();
-  munmap(uring_->sqes, uring_->sqes_len);
-  const bool single_mmap = (uring_->params.features & IORING_FEAT_SINGLE_MMAP) != 0;
-  if (!single_mmap) {
-    munmap(uring_->cq_ring, uring_->cq_ring_len);
-  }
-  munmap(uring_->sq_ring, uring_->sq_ring_len);
-  close(uring_fd_);
-  uring_fd_ = -1;
-  delete uring_;
-  uring_ = nullptr;
-}
-
-void IoEngine::SqLock(UringState* s) {
-  SpinBackoff backoff;
-  while (s->sqe_spin.test_and_set(std::memory_order_acquire)) {
-    backoff.Pause();
-  }
-}
-
-void IoEngine::SqUnlock(UringState* s) { s->sqe_spin.clear(std::memory_order_release); }
-
-void* IoEngine::SqePrepareLocked() {
-  UringState* s = uring_;
-  const unsigned head = __atomic_load_n(s->sq_head, __ATOMIC_ACQUIRE);
-  const unsigned tail = *s->sq_tail;
-  if (tail - head >= s->params.sq_entries) {
-    // SQ full: flush what is queued inline and retry once; a second failure
-    // means the ring is badly undersized — report it to the caller.
-    SysIoUringEnter(uring_fd_, s->to_submit.load(std::memory_order_relaxed), 0,
-                    s->sqpoll ? IORING_ENTER_SQ_WAKEUP : 0);
-    IncLane(stats_.sys_enter, worker_);
-    s->to_submit.store(0, std::memory_order_relaxed);
-    if (*s->sq_tail - __atomic_load_n(s->sq_head, __ATOMIC_ACQUIRE) >= s->params.sq_entries) {
-      return nullptr;
-    }
-  }
-  io_uring_sqe* sqe = &s->sqes[*s->sq_tail & s->sq_mask];
-  std::memset(sqe, 0, sizeof(*sqe));
-  return sqe;
-}
-
-void IoEngine::SqeCommitLocked() {
-  UringState* s = uring_;
-  const unsigned tail = *s->sq_tail;
-  const unsigned index = tail & s->sq_mask;
-  s->sq_array[index] = index;
-  __atomic_store_n(s->sq_tail, tail + 1, __ATOMIC_RELEASE);
-  s->to_submit.fetch_add(1, std::memory_order_relaxed);
-}
-
-bool IoEngine::UringArmPoll(IoHandle* handle, unsigned poll_mask, std::uintptr_t tag) {
-  // Single unlock point (no early unlock-and-return): skylint's lock walk is
-  // lexical, so an SqUnlock inside a return branch would mark the commit
-  // below as unlocked. Same shape in every SQE-arming function here.
-  UringState* s = uring_;
-  SqLock(s);
-  auto* sqe = static_cast<io_uring_sqe*>(SqePrepareLocked());
-  if (sqe != nullptr) {
-    if (tag == kTagRemove || tag == kTagRemoveWrite) {
-      sqe->opcode = IORING_OP_POLL_REMOVE;
-      // addr identifies the poll to cancel by its submission user_data.
-      sqe->addr = reinterpret_cast<std::uintptr_t>(handle) |
-                  (tag == kTagRemove ? kTagMainPoll : kTagWritePoll);
-    } else {
-      sqe->opcode = IORING_OP_POLL_ADD;
-      sqe->fd = handle->fd;
-      sqe->poll32_events = poll_mask;
-      if (tag == kTagMainPoll) {
-        sqe->len = IORING_POLL_ADD_MULTI;
-      }
-    }
-    sqe->user_data = reinterpret_cast<std::uintptr_t>(handle) | tag;
-    SqeCommitLocked();
-  }
-  SqUnlock(s);
-  return sqe != nullptr;
-}
-
-void IoEngine::UringRemovePoll(IoHandle* handle, std::uintptr_t tag) {
-  // Must not fail: a dropped remove means its CQE never arrives and the
-  // handle is never freed. A full SQ drains via the enter() flush inside
-  // SqePrepareLocked, so the retry terminates.
-  SpinBackoff backoff;
-  while (!UringArmPoll(handle, 0, tag)) {
-    backoff.Pause();
-  }
-}
-
-// Retires one expected CQE (or Deregister's queueing reference). Whoever
-// drops the count to zero after the handle was closed owns the free; until
-// then some op or cancel completion may still reference the handle. Must
-// be the caller's LAST touch of the handle.
-void IoEngine::UringFinishCqe(IoHandle* handle) {
-  if (handle->pending_cqes.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-      handle->closed.load(std::memory_order_acquire)) {
-    FreeCompletionResources(handle);
-    UntrackHandle(handle);
-    delete handle;
-  }
-}
-
-void IoEngine::UringSubmit() {
-  UringState* s = uring_;
-  SqLock(s);
-  const unsigned n = s->to_submit.load(std::memory_order_relaxed);
-  s->to_submit.store(0, std::memory_order_relaxed);
-  bool need_enter = n > 0;
-  unsigned flags = 0;
-  if (s->sqpoll) {
-    // The kernel SQ thread consumes entries on its own; enter only to wake
-    // it from an idle nap — the zero-syscall steady state.
-    flags = IORING_ENTER_SQ_WAKEUP;
-    need_enter = need_enter &&
-                 (__atomic_load_n(s->sq_flags, __ATOMIC_ACQUIRE) & IORING_SQ_NEED_WAKEUP) != 0;
-  }
-  SqUnlock(s);
-  if (need_enter) {
-    SysIoUringEnter(uring_fd_, n, 0, flags);
-    IncLane(stats_.sys_enter, worker_);
-  }
-}
-
-int IoEngine::UringPoll() {
-  UringState* s = uring_;
-#ifdef SKYLOFT_URING_COMPLETION
-  if (completion_) {
-    RearmStalled();
-  }
-#endif
-  int dispatched = 0;
-  unsigned head = __atomic_load_n(s->cq_head, __ATOMIC_ACQUIRE);
-  const unsigned tail = __atomic_load_n(s->cq_tail, __ATOMIC_ACQUIRE);
-  const int budget = options_.max_events;
-  while (head != tail && dispatched < budget) {
-    const io_uring_cqe* cqe = &s->cqes[head & s->cq_mask];
-    const std::uintptr_t tag = cqe->user_data & kTagMask;
-    if (tag == kTagDgram) {
-      // The op pointer travels in the user_data; its CQE is the free point
-      // for the payload and one expected CQE of the owning handle. Send
-      // errors are intentionally dropped — UDP replies are best-effort.
-      auto* op = reinterpret_cast<DgramSendOp*>(cqe->user_data & ~kTagMask);
-      IoHandle* handle = op->handle;
-      delete op;
-      UringFinishCqe(handle);
-      dispatched++;
-      head++;
-      continue;
-    }
-    auto* handle = reinterpret_cast<IoHandle*>(cqe->user_data & ~kTagMask);
-    if (tag == kTagRemove || tag == kTagRemoveWrite) {
-      // One CQE per POLL_REMOVE/ASYNC_CANCEL submitted by Deregister.
-      UringFinishCqe(handle);
-    } else if (tag == kTagWritePoll) {
-      // The oneshot POLLOUT is no longer in flight; the next WaitForWritable
-      // may arm a fresh one.
-      handle->write_poll_armed.store(false, std::memory_order_release);
-      if (!handle->closed.load(std::memory_order_acquire)) {
-        DeliverReady(handle, cqe->res < 0
-                                 ? kIoError
-                                 : PollBitsFromRevents(static_cast<unsigned>(cqe->res)));
-        dispatched++;
-      }
-      UringFinishCqe(handle);
-    } else if (tag == kTagRecv) {
-      HandleRecvCqe(handle, cqe->res, cqe->flags);
-      dispatched++;
-    } else if (tag == kTagAccept) {
-      HandleAcceptCqe(handle, cqe->res, cqe->flags);
-      dispatched++;
-    } else if (tag == kTagSend) {
-      HandleSendCqe(handle, cqe->res);
-      dispatched++;
-    } else {  // kTagMainPoll
-      // A multishot emits many CQEs; only one without F_MORE ends the series
-      // (spontaneous termination, an error, or cancellation by Deregister's
-      // POLL_REMOVE — the kernel may post that -ECANCELED CQE *after* the
-      // remove's own CQE, hence the counting).
-      bool terminal = (cqe->flags & IORING_CQE_F_MORE) == 0;
-      if (handle->closed.load(std::memory_order_acquire)) {
-        // Stale completion for a deregistered handle; deliver nothing.
-      } else if (cqe->res < 0) {
-        handle->main_poll_armed.store(false, std::memory_order_release);
-        DeliverReady(handle, kIoError);
-        dispatched++;
-      } else {
-        DeliverReady(handle, PollBitsFromRevents(static_cast<unsigned>(cqe->res)));
-        dispatched++;
-        if (terminal) {
-          if (UringArmPoll(handle, POLLIN | POLLRDHUP, kTagMainPoll)) {
-            terminal = false;  // re-armed: the poll's expected-CQE count lives on
-          } else {
-            // Lost read monitoring: latch an error so the waiter wakes and
-            // tears the connection down instead of parking forever.
-            handle->main_poll_armed.store(false, std::memory_order_release);
-            DeliverReady(handle, kIoError);
-          }
-        }
-      }
-      if (terminal) {
-        UringFinishCqe(handle);
-      }
-    }
-    head++;
-  }
-  __atomic_store_n(s->cq_head, head, __ATOMIC_RELEASE);
-  if ((__atomic_load_n(s->sq_flags, __ATOMIC_ACQUIRE) & IORING_SQ_CQ_OVERFLOW) != 0) {
-    // A CQ overflow parked completions kernel-side; flush them into the ring
-    // so the next Poll can reap (the deep CQSIZE ring makes this rare).
-    SysIoUringEnter(uring_fd_, 0, 0, IORING_ENTER_GETEVENTS);
-    IncLane(stats_.sys_enter, worker_);
-  }
-  // The batched-submission point: every op queued since the last round —
-  // handler sends, registrations, cancels, plus the re-arms above — goes to
-  // the kernel in one enter. Reaping above is pure shared-memory work, so it
-  // runs every scheduler round; the enter() is DEFERRED until a worthwhile
-  // batch accumulated or a flush is overdue — the scheduler polls between
-  // every two uthread segments, so an eager flush here would pay one syscall
-  // per handler send. The worker loop's pre-idle FlushSubmissions() bounds
-  // the added latency whenever the runqueue drains; the round limit bounds it
-  // when a yield-spinning uthread keeps the worker out of the idle path.
-  // SQPOLL submits by publishing the SQ tail (the enter below is only a
-  // NEED_WAKEUP nudge), so deferring would buy nothing.
-  const unsigned pending = s->to_submit.load(std::memory_order_relaxed);
-  if (pending == 0) {
-    submit_rounds_ = 0;
-  } else if (s->sqpoll || pending >= kSubmitEagerBatch ||
-             ++submit_rounds_ >= kSubmitRoundLimit) {
-    submit_rounds_ = 0;
-    UringSubmit();
-  }
-  return dispatched;
-}
-
-void IoEngine::FlushSubmissions() {
-  UringState* s = uring_;
-  if (s != nullptr && s->to_submit.load(std::memory_order_relaxed) > 0) {
-    submit_rounds_ = 0;
-    UringSubmit();
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Completion data path (multishot RECV/RECVMSG/ACCEPT + provided buffers +
-// async sends). Compiled only when the uapi header is new enough; probed at
-// ring setup and degraded per-feature at runtime.
+// io_uring backend.
 // ---------------------------------------------------------------------------
 
-#ifdef SKYLOFT_URING_COMPLETION
+struct IoEngine::UringState {
+  io_uring_params params{};
+  // SQ ring.
+  void* sq_ring = nullptr;
+  std::size_t sq_ring_len = 0;
+  unsigned* sq_head = nullptr;
+  unsigned* sq_tail = nullptr;
+  unsigned sq_mask = 0;
+  unsigned* sq_array = nullptr;
+  unsigned* sq_flags = nullptr;  // CQ_OVERFLOW
+  io_uring_sqe* sqes = nullptr;
+  std::size_t sqes_len = 0;
+  // CQ ring (separate mmap unless IORING_FEAT_SINGLE_MMAP).
+  void* cq_ring = nullptr;
+  std::size_t cq_ring_len = 0;
+  unsigned* cq_head = nullptr;
+  unsigned* cq_tail = nullptr;
+  unsigned cq_mask = 0;
+  io_uring_cqe* cqes = nullptr;
+  // SQE production is multi-producer (Deregister and the completion path's
+  // SendEnqueue run on whatever worker the handler uthread was stolen to);
+  // short spinlock.
+  std::atomic_flag sqe_spin = ATOMIC_FLAG_INIT;
+  // Mutated under sqe_spin; atomic so UringPoll's flush heuristic can read it
+  // without taking the lock (a stale value just defers one round).
+  std::atomic<unsigned> to_submit{0};
+
+  // Provided buffer ring (IORING_REGISTER_PBUF_RING) + its backing arena.
+  // Producer side (recycling consumed buffers) is multi-worker: a stolen
+  // handler returns buffers from wherever it runs; buf_spin guards the
+  // shadow tail. NOTE: slots are addressed via `bufs` (the ring base), NOT
+  // io_uring_buf_ring::bufs — that flex-array member sits behind a
+  // __DECLARE_FLEX_ARRAY empty struct whose size is 0 in C but >= 1 in C++,
+  // shifting the member to offset 8 and silently corrupting every
+  // descriptor the kernel reads from offset 0.
+  io_uring_buf_ring* buf_ring = nullptr;
+  io_uring_buf* bufs = nullptr;  // == ring base; slot i at bufs[i]
+  std::unique_ptr<char[]> buf_arena;
+  std::atomic_flag buf_spin = ATOMIC_FLAG_INIT;
+  std::uint16_t buf_tail = 0;  // producer shadow of buf_ring->tail
+  // Recycle epoch: bumped on every returned buffer so the home engine knows
+  // when re-arming an ENOBUFS-stalled recv can make progress.
+  std::atomic<std::uint64_t> buf_recycled{0};
+  // Registered-file table (IORING_REGISTER_FILES, sparse): free slot indices,
+  // guarded by the engine's handles lock.
+  std::vector<int> free_slots;
+};
+
+// Heap-owned async datagram reply: the SENDMSG op's msghdr, destination and
+// payload must all outlive submission, so they travel with the op and are
+// freed when its CQE arrives (tag kTagDgram carries the op pointer).
+struct IoEngine::DgramSendOp {
+  IoHandle* handle = nullptr;
+  sockaddr_in to{};
+  std::string payload;
+  iovec iov{};
+  msghdr msg{};
+};
 
 // One queued received segment: `len` payload bytes in provided buffer `bid`.
 struct IoRecvSeg {
@@ -534,7 +171,6 @@ struct IoRecvSeg {
 // only the one handler uthread enqueues, so tx ordering needs no further
 // synchronization beyond the spinlock.
 struct IoCompletionState {
-  IoRegisterMode mode = IoRegisterMode::kStream;
   int fixed_slot = -1;  // registered-file table index; -1 = raw fd
   std::atomic_flag q_spin = ATOMIC_FLAG_INIT;
   std::deque<IoRecvSeg> rx;
@@ -574,26 +210,24 @@ void IoEngine::BufLock(UringState* s) {
 
 void IoEngine::BufUnlock(UringState* s) { s->buf_spin.clear(std::memory_order_release); }
 
-namespace {
-
-// Logged once per process, not per engine: every worker's engine probes the
-// same kernel, and a line per engine would just repeat it.
-void LogCompletionFallbackOnce(const char* why) {
-  static std::atomic<bool> logged{false};
-  if (!logged.exchange(true, std::memory_order_acq_rel)) {
-    SKYLOFT_LOG(kInfo) << "io_uring completion data path unavailable (" << why
-                       << "); serving on the POLL_ADD readiness path";
-  }
-}
-
-}  // namespace
-
-bool IoEngine::UringSetupCompletion() {
-  if (!options_.completion) {
-    return false;
-  }
+// Sets up the ring, then checks every feature the completion data path
+// needs. Any shortfall tears the ring down again: a kIoUring engine either
+// runs the whole completion path or is an epoll engine.
+bool IoEngine::UringInit() {
+  uring_ = new UringState;
   UringState* s = uring_;
-  // Feature probe: every op the completion path arms must be supported.
+  const auto fail = [this](const char* why) {
+    LogUringFallbackOnce(why);
+    UringShutdown();
+    return false;
+  };
+  s->params.flags = IORING_SETUP_CQSIZE;
+  s->params.cq_entries = kCqEntries;
+  uring_fd_ = SysIoUringSetup(kSqEntries, &s->params);
+  if (uring_fd_ < 0) {
+    return fail("io_uring_setup refused");
+  }
+  // Feature probe: every op the engine arms must be supported.
   // IORING_OP_SEND_ZC doubles as the kernel >= 6.0 marker — the generation
   // where multishot RECV and provided buffer rings are complete — since
   // probe flags only say an opcode exists, not which sqe flags it honours.
@@ -602,88 +236,291 @@ bool IoEngine::UringSetupCompletion() {
       sizeof(io_uring_probe) + kProbeOps * sizeof(io_uring_probe_op), 0);
   auto* probe = reinterpret_cast<io_uring_probe*>(probe_mem.data());
   if (SysIoUringRegister(uring_fd_, IORING_REGISTER_PROBE, probe, kProbeOps) < 0) {
-    LogCompletionFallbackOnce("probe rejected");
-    return false;
+    return fail("probe rejected");
   }
-  const auto supported = [probe](unsigned op) {
-    return op <= probe->last_op && (probe->ops[op].flags & IO_URING_OP_SUPPORTED) != 0;
-  };
-  for (const unsigned op : {static_cast<unsigned>(IORING_OP_RECV),
+  for (const unsigned op : {static_cast<unsigned>(IORING_OP_POLL_ADD),
+                            static_cast<unsigned>(IORING_OP_RECV),
                             static_cast<unsigned>(IORING_OP_SEND),
                             static_cast<unsigned>(IORING_OP_SENDMSG),
                             static_cast<unsigned>(IORING_OP_RECVMSG),
                             static_cast<unsigned>(IORING_OP_ACCEPT),
                             static_cast<unsigned>(IORING_OP_ASYNC_CANCEL),
                             static_cast<unsigned>(IORING_OP_SEND_ZC)}) {
-    if (!supported(op)) {
-      LogCompletionFallbackOnce("op probe short");
-      return false;
+    if (op > probe->last_op || (probe->ops[op].flags & IO_URING_OP_SUPPORTED) == 0) {
+      return fail("op probe short");
     }
   }
+
+  s->sq_ring_len = s->params.sq_off.array + s->params.sq_entries * sizeof(unsigned);
+  s->cq_ring_len = s->params.cq_off.cqes + s->params.cq_entries * sizeof(io_uring_cqe);
+  const bool single_mmap = (s->params.features & IORING_FEAT_SINGLE_MMAP) != 0;
+  if (single_mmap) {
+    s->sq_ring_len = s->cq_ring_len = std::max(s->sq_ring_len, s->cq_ring_len);
+  }
+  s->sq_ring = MapRing(uring_fd_, s->sq_ring_len, IORING_OFF_SQ_RING);
+  s->cq_ring = single_mmap ? s->sq_ring : MapRing(uring_fd_, s->cq_ring_len, IORING_OFF_CQ_RING);
+  s->sqes_len = s->params.sq_entries * sizeof(io_uring_sqe);
+  s->sqes = static_cast<io_uring_sqe*>(MapRing(uring_fd_, s->sqes_len, IORING_OFF_SQES));
+  if (s->sq_ring == nullptr || s->cq_ring == nullptr || s->sqes == nullptr) {
+    return fail("ring mmap failed");
+  }
+  auto* sq = static_cast<unsigned char*>(s->sq_ring);
+  s->sq_head = reinterpret_cast<unsigned*>(sq + s->params.sq_off.head);
+  s->sq_tail = reinterpret_cast<unsigned*>(sq + s->params.sq_off.tail);
+  s->sq_mask = *reinterpret_cast<unsigned*>(sq + s->params.sq_off.ring_mask);
+  s->sq_array = reinterpret_cast<unsigned*>(sq + s->params.sq_off.array);
+  s->sq_flags = reinterpret_cast<unsigned*>(sq + s->params.sq_off.flags);
+  auto* cq = static_cast<unsigned char*>(s->cq_ring);
+  s->cq_head = reinterpret_cast<unsigned*>(cq + s->params.cq_off.head);
+  s->cq_tail = reinterpret_cast<unsigned*>(cq + s->params.cq_off.tail);
+  s->cq_mask = *reinterpret_cast<unsigned*>(cq + s->params.cq_off.ring_mask);
+  s->cqes = reinterpret_cast<io_uring_cqe*>(cq + s->params.cq_off.cqes);
+
   // Provided buffer ring: one page-aligned ring of descriptors plus a flat
-  // arena the kernel scatters received bytes into.
-  const unsigned entries = RoundUpPow2(static_cast<unsigned>(
-      std::clamp(options_.buf_ring_entries, 8, 32768)));
-  const std::size_t ring_len = entries * sizeof(io_uring_buf);
-  void* ring_mem = mmap(nullptr, ring_len, PROT_READ | PROT_WRITE,
+  // arena the kernel scatters received bytes into. The arena is left
+  // uninitialized, so a page costs memory only once a recv lands in it.
+  void* ring_mem = mmap(nullptr, kBufEntries * sizeof(io_uring_buf), PROT_READ | PROT_WRITE,
                         MAP_ANONYMOUS | MAP_PRIVATE, -1, 0);
   if (ring_mem == MAP_FAILED) {
-    LogCompletionFallbackOnce("buffer ring mmap failed");
-    return false;
-  }
-  io_uring_buf_reg reg{};
-  reg.ring_addr = reinterpret_cast<std::uintptr_t>(ring_mem);
-  reg.ring_entries = entries;
-  reg.bgid = kBufGroup;
-  if (SysIoUringRegister(uring_fd_, IORING_REGISTER_PBUF_RING, &reg, 1) < 0) {
-    munmap(ring_mem, ring_len);
-    LogCompletionFallbackOnce("pbuf ring register refused");
-    return false;
+    return fail("buffer ring mmap failed");
   }
   s->buf_ring = static_cast<io_uring_buf_ring*>(ring_mem);
   s->bufs = static_cast<io_uring_buf*>(ring_mem);
-  s->buf_ring_len = ring_len;
-  s->buf_entries = entries;
-  s->buf_mask = entries - 1;
-  s->buf_size = static_cast<std::size_t>(std::max(256, options_.buf_size));
-  s->buf_arena = std::make_unique<char[]>(entries * s->buf_size);
-  for (unsigned i = 0; i < entries; i++) {
+  io_uring_buf_reg reg{};
+  reg.ring_addr = reinterpret_cast<std::uintptr_t>(ring_mem);
+  reg.ring_entries = kBufEntries;
+  reg.bgid = kBufGroup;
+  // Registered files, sparse: every slot starts empty (-1).
+  std::vector<int> table(kFixedFileSlots, -1);
+  if (SysIoUringRegister(uring_fd_, IORING_REGISTER_PBUF_RING, &reg, 1) < 0 ||
+      SysIoUringRegister(uring_fd_, IORING_REGISTER_FILES, table.data(), kFixedFileSlots) < 0) {
+    return fail("buffer ring or file table registration refused");
+  }
+  s->buf_arena = std::make_unique_for_overwrite<char[]>(kBufEntries * kBufSize);
+  for (unsigned i = 0; i < kBufEntries; i++) {
     io_uring_buf* slot = &s->bufs[i];
-    slot->addr = reinterpret_cast<std::uintptr_t>(s->buf_arena.get() + i * s->buf_size);
-    slot->len = static_cast<std::uint32_t>(s->buf_size);
+    slot->addr = reinterpret_cast<std::uintptr_t>(s->buf_arena.get() + i * kBufSize);
+    slot->len = static_cast<std::uint32_t>(kBufSize);
     slot->bid = static_cast<std::uint16_t>(i);
   }
-  s->buf_tail = static_cast<std::uint16_t>(entries);
+  s->buf_tail = static_cast<std::uint16_t>(kBufEntries);
   __atomic_store_n(&s->buf_ring->tail, s->buf_tail, __ATOMIC_RELEASE);
-  // Registered files are an optimization, not a requirement: losing them
-  // keeps the completion path on raw fds.
-  if (options_.fixed_file_slots > 0) {
-    std::vector<int> table(static_cast<std::size_t>(options_.fixed_file_slots), -1);
-    if (SysIoUringRegister(uring_fd_, IORING_REGISTER_FILES, table.data(),
-                           static_cast<unsigned>(table.size())) == 0) {
-      s->fixed_files = true;
-      s->free_slots.reserve(table.size());
-      for (int slot = options_.fixed_file_slots - 1; slot >= 0; slot--) {
-        s->free_slots.push_back(slot);
-      }
-    }
+  s->free_slots.reserve(kFixedFileSlots);
+  for (int slot = kFixedFileSlots - 1; slot >= 0; slot--) {
+    s->free_slots.push_back(slot);
   }
   return true;
 }
 
-void IoEngine::UringTeardownCompletion() {
+void IoEngine::UringShutdown() {
   UringState* s = uring_;
+  if (s == nullptr) {
+    return;
+  }
   if (s->buf_ring != nullptr) {
-    munmap(s->buf_ring, s->buf_ring_len);
-    s->buf_ring = nullptr;
+    munmap(s->buf_ring, kBufEntries * sizeof(io_uring_buf));
+  }
+  if (s->sqes != nullptr) {
+    munmap(s->sqes, s->sqes_len);
+  }
+  if (s->cq_ring != nullptr && s->cq_ring != s->sq_ring) {
+    munmap(s->cq_ring, s->cq_ring_len);
+  }
+  if (s->sq_ring != nullptr) {
+    munmap(s->sq_ring, s->sq_ring_len);
+  }
+  if (uring_fd_ >= 0) {
+    close(uring_fd_);
+  }
+  uring_fd_ = -1;
+  delete s;
+  uring_ = nullptr;
+}
+
+void IoEngine::SqLock(UringState* s) {
+  SpinBackoff backoff;
+  while (s->sqe_spin.test_and_set(std::memory_order_acquire)) {
+    backoff.Pause();
   }
 }
 
+void IoEngine::SqUnlock(UringState* s) { s->sqe_spin.clear(std::memory_order_release); }
+
+void* IoEngine::SqePrepareLocked() {
+  UringState* s = uring_;
+  const unsigned head = __atomic_load_n(s->sq_head, __ATOMIC_ACQUIRE);
+  const unsigned tail = *s->sq_tail;
+  if (tail - head >= s->params.sq_entries) {
+    // SQ full: flush what is queued inline and retry once; a second failure
+    // means the ring is badly undersized — report it to the caller.
+    SysIoUringEnter(uring_fd_, s->to_submit.load(std::memory_order_relaxed), 0, 0);
+    IncLane(stats_.sys_enter, worker_);
+    s->to_submit.store(0, std::memory_order_relaxed);
+    if (*s->sq_tail - __atomic_load_n(s->sq_head, __ATOMIC_ACQUIRE) >= s->params.sq_entries) {
+      return nullptr;
+    }
+  }
+  io_uring_sqe* sqe = &s->sqes[*s->sq_tail & s->sq_mask];
+  std::memset(sqe, 0, sizeof(*sqe));
+  return sqe;
+}
+
+void IoEngine::SqeCommitLocked() {
+  UringState* s = uring_;
+  const unsigned tail = *s->sq_tail;
+  const unsigned index = tail & s->sq_mask;
+  s->sq_array[index] = index;
+  __atomic_store_n(s->sq_tail, tail + 1, __ATOMIC_RELEASE);
+  s->to_submit.fetch_add(1, std::memory_order_relaxed);
+}
+
+// One multishot POLL_ADD on the epoll fd watches every readiness handle of
+// the engine. It posts a CQE per wakeup of the epoll set, not per event and
+// not while the set stays ready, so each CQE is answered by draining
+// epoll_wait until it returns a short batch (EpollPoll).
+bool IoEngine::ArmEpollBridge() {
+  // Single unlock point (no early unlock-and-return): skylint's lock walk is
+  // lexical, so an SqUnlock inside a return branch would mark the commit
+  // below as unlocked. Same shape in every SQE-arming function here.
+  UringState* s = uring_;
+  SqLock(s);
+  auto* sqe = static_cast<io_uring_sqe*>(SqePrepareLocked());
+  if (sqe != nullptr) {
+    sqe->opcode = IORING_OP_POLL_ADD;
+    sqe->fd = epoll_fd_;
+    sqe->poll32_events = POLLIN;
+    sqe->len = IORING_POLL_ADD_MULTI;
+    sqe->user_data = kTagEpoll;
+    SqeCommitLocked();
+  }
+  SqUnlock(s);
+  return sqe != nullptr;
+}
+
+// Retires one expected CQE (or Deregister's queueing reference). Whoever
+// drops the count to zero after the handle was closed owns the free; until
+// then some op or cancel completion may still reference the handle. Must
+// be the caller's LAST touch of the handle.
+void IoEngine::UringFinishCqe(IoHandle* handle) {
+  if (handle->pending_cqes.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
+      handle->closed.load(std::memory_order_acquire)) {
+    FreeCompletionResources(handle);
+    UntrackHandle(handle);
+    delete handle;
+  }
+}
+
+void IoEngine::UringSubmit() {
+  UringState* s = uring_;
+  SqLock(s);
+  const unsigned n = s->to_submit.load(std::memory_order_relaxed);
+  s->to_submit.store(0, std::memory_order_relaxed);
+  SqUnlock(s);
+  if (n > 0) {
+    SysIoUringEnter(uring_fd_, n, 0, 0);
+    IncLane(stats_.sys_enter, worker_);
+  }
+}
+
+int IoEngine::UringPoll() {
+  UringState* s = uring_;
+  RearmStalled();
+  if (!bridge_armed_) {
+    // The engine's first round, or the kernel ended the bridge's multishot:
+    // arm it and submit now (the CQE posts to the submitting task, so this
+    // belongs on the home worker), and drain whatever became ready while the
+    // set was unwatched. If the SQ stays jammed, the drain repeats every
+    // round until an arm succeeds.
+    bridge_armed_ = ArmEpollBridge();
+    bridge_fired_ = true;
+    submit_rounds_ = 0;
+    UringSubmit();
+  }
+  int dispatched = 0;
+  unsigned head = __atomic_load_n(s->cq_head, __ATOMIC_ACQUIRE);
+  const unsigned tail = __atomic_load_n(s->cq_tail, __ATOMIC_ACQUIRE);
+  while (head != tail && dispatched < kPollBatch) {
+    const io_uring_cqe* cqe = &s->cqes[head & s->cq_mask];
+    const std::uintptr_t tag = cqe->user_data & kTagMask;
+    head++;
+    if (tag == kTagEpoll) {
+      bridge_fired_ = true;
+      if ((cqe->flags & IORING_CQE_F_MORE) == 0) {
+        bridge_armed_ = false;  // re-armed at the top of the next round
+      }
+      continue;
+    }
+    if (tag == kTagDgram) {
+      // The op pointer travels in the user_data; its CQE is the free point
+      // for the payload and one expected CQE of the owning handle. Send
+      // errors are intentionally dropped — UDP replies are best-effort.
+      auto* op = reinterpret_cast<DgramSendOp*>(cqe->user_data & ~kTagMask);
+      IoHandle* handle = op->handle;
+      delete op;
+      UringFinishCqe(handle);
+      dispatched++;
+      continue;
+    }
+    auto* handle = reinterpret_cast<IoHandle*>(cqe->user_data & ~kTagMask);
+    if (tag == kTagCancel) {
+      // One CQE per ASYNC_CANCEL submitted by Deregister.
+      UringFinishCqe(handle);
+      continue;
+    }
+    dispatched++;
+    if (tag == kTagRecv) {
+      HandleRecvCqe(handle, cqe->res, cqe->flags);
+    } else if (tag == kTagAccept) {
+      HandleAcceptCqe(handle, cqe->res, cqe->flags);
+    } else {  // kTagSend
+      HandleSendCqe(handle, cqe->res);
+    }
+  }
+  __atomic_store_n(s->cq_head, head, __ATOMIC_RELEASE);
+  if (bridge_fired_) {
+    bridge_fired_ = false;
+    dispatched += EpollPoll();
+  }
+  if ((__atomic_load_n(s->sq_flags, __ATOMIC_ACQUIRE) & IORING_SQ_CQ_OVERFLOW) != 0) {
+    // A CQ overflow parked completions kernel-side; flush them into the ring
+    // so the next Poll can reap (the deep CQ makes this rare).
+    SysIoUringEnter(uring_fd_, 0, 0, IORING_ENTER_GETEVENTS);
+    IncLane(stats_.sys_enter, worker_);
+  }
+  // The batched-submission point: every op queued since the last round —
+  // handler sends, registrations, cancels, plus the re-arms above — goes to
+  // the kernel in one enter. Reaping above is pure shared-memory work, so it
+  // runs every scheduler round; the enter() is DEFERRED until a worthwhile
+  // batch accumulated or a flush is overdue — the scheduler polls between
+  // every two uthread segments, so an eager flush here would pay one syscall
+  // per handler send. The worker loop's pre-idle FlushSubmissions() bounds
+  // the added latency whenever the runqueue drains; the round limit bounds it
+  // when a yield-spinning uthread keeps the worker out of the idle path.
+  const unsigned pending = s->to_submit.load(std::memory_order_relaxed);
+  if (pending == 0) {
+    submit_rounds_ = 0;
+  } else if (pending >= kSubmitEagerBatch || ++submit_rounds_ >= kSubmitRoundLimit) {
+    submit_rounds_ = 0;
+    UringSubmit();
+  }
+  return dispatched;
+}
+
+void IoEngine::FlushSubmissions() {
+  UringState* s = uring_;
+  if (s != nullptr && s->to_submit.load(std::memory_order_relaxed) > 0) {
+    submit_rounds_ = 0;
+    UringSubmit();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Completion data path (multishot RECV/RECVMSG/ACCEPT + provided buffers +
+// async sends).
+// ---------------------------------------------------------------------------
+
 int IoEngine::AllocFixedSlot(int fd) {
   UringState* s = uring_;
-  if (!s->fixed_files) {
-    return -1;
-  }
   int slot = -1;
   LockHandles();
   if (!s->free_slots.empty()) {
@@ -723,7 +560,7 @@ void IoEngine::ReleaseFixedSlot(int slot) {
 bool IoEngine::ArmMainOp(IoHandle* handle) {
   UringState* s = uring_;
   IoCompletionState* cs = handle->cs;
-  SKYLOFT_CHECK(cs->mode != IoRegisterMode::kReadiness) << "ArmMainOp on a readiness handle";
+  SKYLOFT_CHECK(cs != nullptr) << "ArmMainOp on a readiness handle";
   SqLock(s);
   auto* sqe = static_cast<io_uring_sqe*>(SqePrepareLocked());
   if (sqe != nullptr) {
@@ -732,7 +569,7 @@ bool IoEngine::ArmMainOp(IoHandle* handle) {
     if (fixed) {
       sqe->flags |= IOSQE_FIXED_FILE;
     }
-    switch (cs->mode) {
+    switch (handle->mode) {
       case IoRegisterMode::kStream:
         sqe->opcode = IORING_OP_RECV;
         sqe->ioprio = IORING_RECV_MULTISHOT;
@@ -771,9 +608,8 @@ bool IoEngine::ArmSendLocked(IoHandle* handle) {
   IoCompletionState* cs = handle->cs;
   int niov = 0;
   std::size_t skip = cs->tx_off;
-  const int max_iov = std::min(std::max(1, options_.send_batch), kMaxSendIovs);
   for (const std::string& frame : cs->tx) {
-    if (niov >= max_iov) {
+    if (niov >= kMaxSendIovs) {
       break;
     }
     cs->tx_iov[niov].iov_base = const_cast<char*>(frame.data()) + skip;
@@ -824,7 +660,7 @@ void IoEngine::QueueCancel(IoHandle* handle, std::uintptr_t target_tag) {
     if (sqe != nullptr) {
       sqe->opcode = IORING_OP_ASYNC_CANCEL;
       sqe->addr = reinterpret_cast<std::uintptr_t>(handle) | target_tag;
-      sqe->user_data = reinterpret_cast<std::uintptr_t>(handle) | kTagRemove;
+      sqe->user_data = reinterpret_cast<std::uintptr_t>(handle) | kTagCancel;
       SqeCommitLocked();
       SqUnlock(s);
       return;
@@ -858,7 +694,7 @@ void IoEngine::RearmStalled() {
     // ENOBUFS-stalled recvs only retry once a buffer came back; accept
     // stalls (EMFILE bursts) retry every round — their resource isn't ours
     // to observe.
-    const bool listener = handle->cs->mode == IoRegisterMode::kListener;
+    const bool listener = handle->mode == IoRegisterMode::kListener;
     if (!listener && !bufs_back) {
       stalled_[kept++] = handle;
       continue;
@@ -867,14 +703,14 @@ void IoEngine::RearmStalled() {
     // closed, then reads armed): with seq_cst on both sides at least one of
     // us sees the other, so a re-armed op always has a cancel coming or is
     // never armed at all.
-    handle->main_poll_armed.store(true, std::memory_order_seq_cst);
+    handle->main_op_armed.store(true, std::memory_order_seq_cst);
     if (handle->closed.load(std::memory_order_seq_cst)) {
-      handle->main_poll_armed.store(false, std::memory_order_release);
+      handle->main_op_armed.store(false, std::memory_order_release);
       UringFinishCqe(handle);
       continue;
     }
     if (!ArmMainOp(handle)) {
-      handle->main_poll_armed.store(false, std::memory_order_release);
+      handle->main_op_armed.store(false, std::memory_order_release);
       stalled_[kept++] = handle;
     }
   }
@@ -893,7 +729,7 @@ void IoEngine::HandleRecvCqe(IoHandle* handle, std::int32_t res, std::uint32_t f
       RecycleBuffer(bid);
     }
     if (!more) {
-      handle->main_poll_armed.store(false, std::memory_order_release);
+      handle->main_op_armed.store(false, std::memory_order_release);
       UringFinishCqe(handle);
     }
     return;
@@ -901,7 +737,7 @@ void IoEngine::HandleRecvCqe(IoHandle* handle, std::int32_t res, std::uint32_t f
   if (res < 0) {
     // Errors are terminal for the multishot (the kernel never sets F_MORE on
     // them).
-    handle->main_poll_armed.store(false, std::memory_order_release);
+    handle->main_op_armed.store(false, std::memory_order_release);
     if (res == -ENOBUFS) {
       // Provided-buffer ring ran dry: park on the stall list and re-arm once
       // a consumer recycles — the backpressure path, not an error.
@@ -918,7 +754,7 @@ void IoEngine::HandleRecvCqe(IoHandle* handle, std::int32_t res, std::uint32_t f
     if (has_buf) {
       RecycleBuffer(bid);
     }
-    handle->main_poll_armed.store(false, std::memory_order_release);
+    handle->main_op_armed.store(false, std::memory_order_release);
     DeliverReady(handle, kIoHup);
     if (!more) {
       UringFinishCqe(handle);
@@ -937,7 +773,7 @@ void IoEngine::HandleRecvCqe(IoHandle* handle, std::int32_t res, std::uint32_t f
     // The kernel retired the multishot without an error (e.g. bufs were
     // momentarily short); re-arm inline so the data path keeps flowing.
     if (!ArmMainOp(handle)) {
-      handle->main_poll_armed.store(false, std::memory_order_release);
+      handle->main_op_armed.store(false, std::memory_order_release);
       DeliverReady(handle, kIoError);
       UringFinishCqe(handle);
     }
@@ -951,13 +787,13 @@ void IoEngine::HandleAcceptCqe(IoHandle* handle, std::int32_t res, std::uint32_t
       close(res);  // accepted after the listener was torn down
     }
     if (!more) {
-      handle->main_poll_armed.store(false, std::memory_order_release);
+      handle->main_op_armed.store(false, std::memory_order_release);
       UringFinishCqe(handle);
     }
     return;
   }
   if (res < 0) {
-    handle->main_poll_armed.store(false, std::memory_order_release);
+    handle->main_op_armed.store(false, std::memory_order_release);
     if (res == -ECANCELED) {
       UringFinishCqe(handle);
       return;
@@ -975,7 +811,7 @@ void IoEngine::HandleAcceptCqe(IoHandle* handle, std::int32_t res, std::uint32_t
   DeliverReady(handle, kIoReadable);
   if (!more) {
     if (!ArmMainOp(handle)) {
-      handle->main_poll_armed.store(false, std::memory_order_release);
+      handle->main_op_armed.store(false, std::memory_order_release);
       DeliverReady(handle, kIoError);
       UringFinishCqe(handle);
     }
@@ -1044,7 +880,7 @@ bool IoEngine::PopRecv(IoHandle* handle, IoRecvSlice* slice) {
   cs->rx.pop_front();
   QUnlock(cs);
   UringState* s = uring_;
-  slice->data = s->buf_arena.get() + static_cast<std::size_t>(seg.bid) * s->buf_size;
+  slice->data = s->buf_arena.get() + static_cast<std::size_t>(seg.bid) * kBufSize;
   slice->len = seg.len;
   slice->buf_id = seg.bid;
   return true;
@@ -1055,10 +891,10 @@ void IoEngine::RecycleBuffer(std::uint16_t buf_id) {
   UringState* s = uring_;
   BufLock(s);
   const std::uint16_t tail = s->buf_tail;
-  io_uring_buf* slot = &s->bufs[tail & s->buf_mask];
+  io_uring_buf* slot = &s->bufs[tail & (kBufEntries - 1)];
   slot->addr = reinterpret_cast<std::uintptr_t>(
-      s->buf_arena.get() + static_cast<std::size_t>(buf_id) * s->buf_size);
-  slot->len = static_cast<std::uint32_t>(s->buf_size);
+      s->buf_arena.get() + static_cast<std::size_t>(buf_id) * kBufSize);
+  slot->len = static_cast<std::uint32_t>(kBufSize);
   slot->bid = buf_id;
   s->buf_tail = static_cast<std::uint16_t>(tail + 1);
   __atomic_store_n(&s->buf_ring->tail, s->buf_tail, __ATOMIC_RELEASE);
@@ -1222,102 +1058,17 @@ void IoEngine::FreeCompletionResources(IoHandle* handle) {
   handle->cs = nullptr;
 }
 
-#else  // !SKYLOFT_URING_COMPLETION (io_uring without a 6.0+ uapi header)
-
-struct IoCompletionState {};
-
-bool IoEngine::UringSetupCompletion() { return false; }
-void IoEngine::UringTeardownCompletion() {}
-void IoEngine::QLock(IoCompletionState*) {}
-void IoEngine::QUnlock(IoCompletionState*) {}
-void IoEngine::BufLock(UringState*) {}
-void IoEngine::BufUnlock(UringState*) {}
-int IoEngine::AllocFixedSlot(int) { return -1; }
-void IoEngine::ReleaseFixedSlot(int) {}
-bool IoEngine::ArmMainOp(IoHandle*) { return false; }
-bool IoEngine::ArmSendLocked(IoHandle*) { return false; }
-void IoEngine::QueueCancel(IoHandle*, std::uintptr_t) {}
-void IoEngine::StallHandle(IoHandle*) {}
-void IoEngine::RearmStalled() {}
-void IoEngine::HandleRecvCqe(IoHandle*, std::int32_t, std::uint32_t) {}
-void IoEngine::HandleAcceptCqe(IoHandle*, std::int32_t, std::uint32_t) {}
-void IoEngine::HandleSendCqe(IoHandle*, std::int32_t) {}
-bool IoEngine::PopRecv(IoHandle*, IoRecvSlice*) { return false; }
-void IoEngine::RecycleBuffer(std::uint16_t) {}
-int IoEngine::TakeAccepted(IoHandle*) { return -1; }
-std::size_t IoEngine::SendEnqueue(IoHandle*, std::string) { return 0; }
-std::size_t IoEngine::SendQueuedBytes(IoHandle*) { return 0; }
-bool IoEngine::SendDatagram(IoHandle*, const sockaddr_in&, std::string) { return false; }
-bool IoEngine::ParseDatagram(const IoRecvSlice&, IoDatagram*) { return false; }
-void IoEngine::FreeCompletionResources(IoHandle* handle) {
-  delete handle->cs;  // never allocated on this build; null delete is a no-op
-  handle->cs = nullptr;
-}
-
-#endif  // SKYLOFT_URING_COMPLETION
-
-#else  // !SKYLOFT_IO_URING
-
-struct IoEngine::UringState {};
-struct IoEngine::DgramSendOp {};
-struct IoCompletionState {};
-bool IoEngine::UringInit(int /*entries*/) { return false; }
-void IoEngine::UringShutdown() {}
-int IoEngine::UringPoll() { return 0; }
-void IoEngine::FlushSubmissions() {}
-bool IoEngine::UringArmPoll(IoHandle*, unsigned, std::uintptr_t) { return false; }
-void IoEngine::UringRemovePoll(IoHandle*, std::uintptr_t) {}
-void IoEngine::UringFinishCqe(IoHandle*) {}
-void IoEngine::UringSubmit() {}
-void* IoEngine::SqePrepareLocked() { return nullptr; }
-void IoEngine::SqeCommitLocked() {}
-bool IoEngine::UringSetupCompletion() { return false; }
-void IoEngine::UringTeardownCompletion() {}
-void IoEngine::QLock(IoCompletionState*) {}
-void IoEngine::QUnlock(IoCompletionState*) {}
-void IoEngine::BufLock(UringState*) {}
-void IoEngine::BufUnlock(UringState*) {}
-int IoEngine::AllocFixedSlot(int) { return -1; }
-void IoEngine::ReleaseFixedSlot(int) {}
-bool IoEngine::ArmMainOp(IoHandle*) { return false; }
-bool IoEngine::ArmSendLocked(IoHandle*) { return false; }
-void IoEngine::QueueCancel(IoHandle*, std::uintptr_t) {}
-void IoEngine::StallHandle(IoHandle*) {}
-void IoEngine::RearmStalled() {}
-void IoEngine::HandleRecvCqe(IoHandle*, std::int32_t, std::uint32_t) {}
-void IoEngine::HandleAcceptCqe(IoHandle*, std::int32_t, std::uint32_t) {}
-void IoEngine::HandleSendCqe(IoHandle*, std::int32_t) {}
-bool IoEngine::PopRecv(IoHandle*, IoRecvSlice*) { return false; }
-void IoEngine::RecycleBuffer(std::uint16_t) {}
-int IoEngine::TakeAccepted(IoHandle*) { return -1; }
-std::size_t IoEngine::SendEnqueue(IoHandle*, std::string) { return 0; }
-std::size_t IoEngine::SendQueuedBytes(IoHandle*) { return 0; }
-bool IoEngine::SendDatagram(IoHandle*, const sockaddr_in&, std::string) { return false; }
-bool IoEngine::ParseDatagram(const IoRecvSlice&, IoDatagram*) { return false; }
-void IoEngine::FreeCompletionResources(IoHandle* handle) {
-  delete handle->cs;
-  handle->cs = nullptr;
-}
-
-#endif  // SKYLOFT_IO_URING
-
 // ---------------------------------------------------------------------------
 // Backend-neutral engine.
 // ---------------------------------------------------------------------------
 
 IoEngine::IoEngine(int worker, const IoEngineOptions& options, const IoEngineStats& stats)
-    : worker_(worker), options_(options), stats_(stats) {
-  SKYLOFT_CHECK(options_.max_events > 0);
-  if (options_.backend != IoEngineOptions::Backend::kEpoll) {
-    if (!UringInit(options_.uring_entries) &&
-        options_.backend == IoEngineOptions::Backend::kIoUring) {
-      IncLane(stats_.uring_fallbacks, worker_);
-    }
-  }
-  if (uring_fd_ < 0) {
-    epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
-    SKYLOFT_CHECK(epoll_fd_ >= 0) << "epoll_create1 failed: " << std::strerror(errno);
-    event_buf_.resize(static_cast<std::size_t>(options_.max_events) * sizeof(epoll_event));
+    : worker_(worker), stats_(stats) {
+  epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
+  SKYLOFT_CHECK(epoll_fd_ >= 0) << "epoll_create1 failed: " << std::strerror(errno);
+  event_buf_.resize(kPollBatch * sizeof(epoll_event));
+  if (options.backend == IoEngineOptions::Backend::kIoUring && !UringInit()) {
+    IncLane(stats_.uring_fallbacks, worker_);
   }
 }
 
@@ -1379,45 +1130,24 @@ IoHandle* IoEngine::Register(int fd, IoRegisterMode mode) {
   auto* handle = new IoHandle;
   handle->fd = fd;
   handle->engine = this;
-  if (uring_fd_ >= 0) {
-#ifdef SKYLOFT_IO_URING
-#ifdef SKYLOFT_URING_COMPLETION
-    if (completion_ && mode != IoRegisterMode::kReadiness) {
-      handle->mode = mode;
-      auto* cs = new IoCompletionState;
-      cs->mode = mode;
-      if (mode == IoRegisterMode::kDatagram) {
-        cs->rx_msg.msg_namelen = sizeof(sockaddr_in);
-      }
-      cs->fixed_slot = AllocFixedSlot(fd);
-      handle->cs = cs;
-      // Pre-publication: count the main op's expected terminal CQE before
-      // the kernel can post it.
-      handle->main_poll_armed.store(true, std::memory_order_relaxed);
-      handle->pending_cqes.store(1, std::memory_order_relaxed);
-      if (!ArmMainOp(handle)) {
-        if (cs->fixed_slot >= 0) {
-          ReleaseFixedSlot(cs->fixed_slot);
-        }
-        delete cs;
-        handle->cs = nullptr;
-        delete handle;
-        return nullptr;
-      }
-      TrackHandle(handle);
-      IncLane(stats_.registered, worker_);
-      return handle;
+  if (completion() && mode != IoRegisterMode::kReadiness) {
+    handle->mode = mode;
+    auto* cs = new IoCompletionState;
+    if (mode == IoRegisterMode::kDatagram) {
+      cs->rx_msg.msg_namelen = sizeof(sockaddr_in);
     }
-#endif
-    // Readiness mode (or completion unavailable): multishot POLL_ADD. The
-    // SQE rides the next poll round's batched submit.
-    handle->main_poll_armed.store(true, std::memory_order_relaxed);
+    cs->fixed_slot = AllocFixedSlot(fd);
+    handle->cs = cs;
+    // Pre-publication: count the main op's expected terminal CQE before
+    // the kernel can post it. The SQE rides the next poll round's batched
+    // submit.
+    handle->main_op_armed.store(true, std::memory_order_relaxed);
     handle->pending_cqes.store(1, std::memory_order_relaxed);
-    if (!UringArmPoll(handle, POLLIN | POLLRDHUP, kTagMainPoll)) {
+    if (!ArmMainOp(handle)) {
+      FreeCompletionResources(handle);
       delete handle;
       return nullptr;
     }
-#endif
   } else {
     epoll_event ev{};
     ev.events = EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET;
@@ -1435,7 +1165,7 @@ IoHandle* IoEngine::Register(int fd, IoRegisterMode mode) {
 void IoEngine::Deregister(IoHandle* handle) {
   Runtime::PreemptGuard guard;  // takes engine spinlocks (see io_engine.h)
   SKYLOFT_CHECK(handle != nullptr && handle->engine == this);
-  if (uring_fd_ >= 0) {
+  if (handle->cs != nullptr) {
     // Take a queueing reference BEFORE publishing closed: once closed is
     // visible, a concurrent reaper dropping pending_cqes to zero frees the
     // handle, and this function is still using it below. seq_cst pairs with
@@ -1444,33 +1174,21 @@ void IoEngine::Deregister(IoHandle* handle) {
     handle->pending_cqes.fetch_add(1, std::memory_order_acq_rel);
     const bool was_closed = handle->closed.exchange(true, std::memory_order_seq_cst);
     SKYLOFT_CHECK(!was_closed) << "double Deregister of fd " << handle->fd;
-    // Cancel every outstanding op — the multishot main op (POLL_ADD for
-    // readiness handles, RECV/RECVMSG/ACCEPT for completion handles), the
-    // oneshot write poll, and an in-flight async send. A pending op holds a
-    // file reference, so closing the fd alone would not complete it and its
-    // CQE could fire after the handle was freed. Each cancel yields its own
-    // CQE too; count both before queueing. The fd can be closed right away —
-    // POLL_REMOVE/ASYNC_CANCEL target by user_data, not fd.
-    if (handle->main_poll_armed.load(std::memory_order_seq_cst)) {
+    // Cancel every outstanding op — the multishot main op and an in-flight
+    // async send. A pending op holds a file reference, so closing the fd
+    // alone would not complete it and its CQE could fire after the handle
+    // was freed. Each cancel yields its own CQE too; count both before
+    // queueing. The fd can be closed right away — ASYNC_CANCEL targets by
+    // user_data, not fd.
+    if (handle->main_op_armed.load(std::memory_order_seq_cst)) {
       handle->pending_cqes.fetch_add(1, std::memory_order_acq_rel);
-      if (handle->cs == nullptr) {
-        UringRemovePoll(handle, kTagRemove);
-      } else {
-        QueueCancel(handle, handle->mode == IoRegisterMode::kListener ? kTagAccept : kTagRecv);
-      }
+      QueueCancel(handle, handle->mode == IoRegisterMode::kListener ? kTagAccept : kTagRecv);
     }
-    if (handle->write_poll_armed.load(std::memory_order_acquire)) {
-      handle->pending_cqes.fetch_add(1, std::memory_order_acq_rel);
-      UringRemovePoll(handle, kTagRemoveWrite);
-    }
-    if (handle->cs != nullptr) {
-      // An in-flight async send holds a file reference and could otherwise
-      // stay queued indefinitely (zero-window peer) pinning the handle;
-      // cancel unconditionally — a miss just yields a -ENOENT cancel CQE,
-      // which the +1 below absorbs either way.
-      handle->pending_cqes.fetch_add(1, std::memory_order_acq_rel);
-      QueueCancel(handle, kTagSend);
-    }
+    // An in-flight async send could otherwise stay queued indefinitely
+    // (zero-window peer) pinning the handle; cancel unconditionally — a miss
+    // just yields a -ENOENT cancel CQE, which the +1 below absorbs either way.
+    handle->pending_cqes.fetch_add(1, std::memory_order_acq_rel);
+    QueueCancel(handle, kTagSend);
     close(handle->fd);
     IncLane(stats_.retired, worker_);
     UringFinishCqe(handle);  // drop the queueing reference; may free
@@ -1527,72 +1245,50 @@ void IoEngine::DeliverReady(IoHandle* handle, unsigned bits) {
 }
 
 int IoEngine::EpollPoll() {
-  FreeRetired();
   auto* events = reinterpret_cast<epoll_event*>(event_buf_.data());
-  // This epoll_wait only drains already-pending events: the scheduler loop
-  // calls it between uthread switches precisely because it cannot block.
-  // skylint:allow(blocking-call-on-worker) -- timeout 0 never sleeps
-  const int n = epoll_wait(epoll_fd_, events, options_.max_events, 0);
-  if (n <= 0) {
-    return 0;
+  int total = 0;
+  while (true) {
+    // This epoll_wait only drains already-pending events: the scheduler loop
+    // calls it between uthread switches precisely because it cannot block.
+    // skylint:allow(blocking-call-on-worker) -- timeout 0 never sleeps
+    const int n = epoll_wait(epoll_fd_, events, kPollBatch, 0);
+    for (int i = 0; i < n; i++) {
+      unsigned bits = 0;
+      const unsigned ev = events[i].events;
+      if (ev & (EPOLLIN | EPOLLRDHUP)) {
+        bits |= kIoReadable;
+      }
+      if (ev & EPOLLOUT) {
+        bits |= kIoWritable;
+      }
+      if (ev & EPOLLHUP) {
+        bits |= kIoHup;
+      }
+      if (ev & EPOLLERR) {
+        bits |= kIoError;
+      }
+      DeliverReady(static_cast<IoHandle*>(events[i].data.ptr), bits);
+    }
+    // A full batch may have left events behind, and the epoll bridge of an
+    // io_uring engine fires only on a new wakeup: drain to a short batch.
+    if (n < kPollBatch) {
+      return total + std::max(n, 0);
+    }
+    total += n;
   }
-  for (int i = 0; i < n; i++) {
-    unsigned bits = 0;
-    const unsigned ev = events[i].events;
-    if (ev & (EPOLLIN | EPOLLRDHUP)) {
-      bits |= kIoReadable;
-    }
-    if (ev & EPOLLOUT) {
-      bits |= kIoWritable;
-    }
-    if (ev & EPOLLHUP) {
-      bits |= kIoHup;
-    }
-    if (ev & EPOLLERR) {
-      bits |= kIoError;
-    }
-    DeliverReady(static_cast<IoHandle*>(events[i].data.ptr), bits);
-  }
-  return n;
 }
 
 int IoEngine::Poll() {
-  const int n = uring_fd_ >= 0 ? UringPoll() : EpollPoll();
+  // Both backends retire readiness handles through the same two-phase list;
+  // advancing it here, not on an epoll event, frees a deregistered handle
+  // even when its set stays quiet.
+  FreeRetired();
+  const int n = uring_ != nullptr ? UringPoll() : EpollPoll();
   if (n > 0) {
     IncLane(stats_.polls, worker_);
     IncLane(stats_.events, worker_, static_cast<std::uint64_t>(n));
   }
   return n;
-}
-
-void IoEngine::RequestWritable(IoHandle* handle) {
-  Runtime::PreemptGuard guard;  // takes engine spinlocks (see io_engine.h)
-  if (uring_fd_ >= 0) {
-#ifdef SKYLOFT_IO_URING
-    if (handle->cs != nullptr) {
-      // Completion handles don't poll for POLLOUT: the parked writer is
-      // woken by the send queue draining (final send CQE latches
-      // kIoWritable).
-      return;
-    }
-    // At most one oneshot POLLOUT in flight per handle, so Deregister knows
-    // exactly which polls remain to cancel; an unreaped previous arm still
-    // delivers the wakeup this caller is about to wait for.
-    if (handle->write_poll_armed.exchange(true, std::memory_order_acq_rel)) {
-      return;
-    }
-    handle->pending_cqes.fetch_add(1, std::memory_order_acq_rel);
-    if (!UringArmPoll(handle, POLLOUT, kTagWritePoll)) {
-      handle->pending_cqes.fetch_sub(1, std::memory_order_acq_rel);
-      handle->write_poll_armed.store(false, std::memory_order_release);
-      // No write monitoring means the waiter would park forever; latch an
-      // error so it wakes and fails the write instead.
-      DeliverReady(handle, kIoError);
-    }
-#endif
-  }
-  // epoll: EPOLLOUT|EPOLLET is permanently armed; the edge fires when the
-  // send buffer drains.
 }
 
 void IoEngine::RelatchReadable(IoHandle* handle) {
@@ -1606,43 +1302,35 @@ void IoEngine::RelatchReadable(IoHandle* handle) {
 void IoEngine::DumpDebug(std::FILE* out) {
   Runtime::PreemptGuard guard;  // takes engine spinlocks (see io_engine.h)
   std::fprintf(out, "engine[%d] backend=%s completion=%d\n", worker_,
-               uring_fd_ >= 0 ? "io_uring" : "epoll", completion_ ? 1 : 0);
-#ifdef SKYLOFT_IO_URING
+               using_io_uring() ? "io_uring" : "epoll", completion() ? 1 : 0);
   if (uring_ != nullptr) {
     UringState* s = uring_;
     std::fprintf(out,
-                 "  sq head=%u tail=%u to_submit=%u flags=%#x cq head=%u tail=%u\n",
+                 "  sq head=%u tail=%u to_submit=%u flags=%#x cq head=%u tail=%u "
+                 "bridge=%d\n",
                  __atomic_load_n(s->sq_head, __ATOMIC_ACQUIRE),
                  __atomic_load_n(s->sq_tail, __ATOMIC_ACQUIRE),
                  s->to_submit.load(std::memory_order_relaxed),
                  __atomic_load_n(s->sq_flags, __ATOMIC_ACQUIRE),
                  __atomic_load_n(s->cq_head, __ATOMIC_ACQUIRE),
-                 __atomic_load_n(s->cq_tail, __ATOMIC_ACQUIRE));
-#ifdef SKYLOFT_URING_COMPLETION
-    if (s->buf_ring != nullptr) {
-      std::fprintf(out, "  buf entries=%u tail=%u recycled=%llu stalled=%zu\n",
-                   s->buf_entries, static_cast<unsigned>(s->buf_tail),
-                   static_cast<unsigned long long>(
-                       s->buf_recycled.load(std::memory_order_acquire)),
-                   stalled_.size());
-    }
-#endif
+                 __atomic_load_n(s->cq_tail, __ATOMIC_ACQUIRE), bridge_armed_ ? 1 : 0);
+    std::fprintf(out, "  buf entries=%u tail=%u recycled=%llu stalled=%zu\n", kBufEntries,
+                 static_cast<unsigned>(s->buf_tail),
+                 static_cast<unsigned long long>(s->buf_recycled.load(std::memory_order_acquire)),
+                 stalled_.size());
   }
-#endif
   LockHandles();
   for (IoHandle* handle : handles_) {
     std::fprintf(out,
-                 "  fd=%d mode=%d ready=%#x closed=%d armed=%d/%d pending=%d "
+                 "  fd=%d mode=%d ready=%#x closed=%d armed=%d pending=%d "
                  "reader=%d writer=%d",
                  handle->fd, static_cast<int>(handle->mode),
                  handle->ready.load(std::memory_order_acquire),
                  handle->closed.load(std::memory_order_acquire) ? 1 : 0,
-                 handle->main_poll_armed.load(std::memory_order_acquire) ? 1 : 0,
-                 handle->write_poll_armed.load(std::memory_order_acquire) ? 1 : 0,
+                 handle->main_op_armed.load(std::memory_order_acquire) ? 1 : 0,
                  handle->pending_cqes.load(std::memory_order_acquire),
                  handle->reader.load(std::memory_order_acquire) != nullptr ? 1 : 0,
                  handle->writer.load(std::memory_order_acquire) != nullptr ? 1 : 0);
-#ifdef SKYLOFT_URING_COMPLETION
     if (handle->cs != nullptr) {
       IoCompletionState* cs = handle->cs;
       QLock(cs);
@@ -1651,7 +1339,6 @@ void IoEngine::DumpDebug(std::FILE* out) {
                    cs->tx_off, cs->tx_inflight ? 1 : 0);
       QUnlock(cs);
     }
-#endif
     std::fprintf(out, "\n");
   }
   UnlockHandles();

@@ -2,48 +2,50 @@
 //
 // Skyloft's latency argument needs a real wakeup path: a NIC-driven readiness
 // event must turn into a runnable uthread in microseconds. Each runtime
-// worker owns one IoEngine — a private epoll set (io_uring behind
-// SKYLOFT_IO_URING, falling back to epoll when the kernel refuses) polled
-// from the worker's scheduler loop between uthread switches. Connections are
-// sharded at accept time (SO_REUSEPORT listeners, one per worker) and an fd
-// never changes engines; only the *handler uthread* migrates, via ordinary
-// work stealing. A readiness event therefore always fires on the fd's home
-// engine, and the resulting Unpark enqueues through that worker's own
-// runqueue — the remote-enqueue mailbox path when the handler was stolen.
+// worker owns one IoEngine, polled from the worker's scheduler loop between
+// uthread switches. Connections are sharded at accept time (SO_REUSEPORT
+// listeners, one per worker) and an fd never changes engines; only the
+// *handler uthread* migrates, via ordinary work stealing. An event therefore
+// always fires on the fd's home engine, and the resulting Unpark enqueues
+// through that worker's own runqueue — the remote-enqueue mailbox path when
+// the handler was stolen.
 //
-// Blocking is cooperative, not thread-blocking: a uthread that would block on
-// a socket parks through WaitForReadable/WaitForWritable (src/runtime/sync.h)
-// and the worker runs other uthreads until the engine latches readiness and
-// unparks it. Readiness is edge-triggered and latched in the handle:
+// Both backends are always compiled; IoEngineOptions::backend picks one per
+// engine at run time, and each backend has one job:
 //
-//   engine Poll():  ready.fetch_or(bits); wake parked reader/writer
-//   WaitForReadable: wait for the latch, consume it, caller then drains the
-//                    socket until EAGAIN (edge-triggered contract)
+//   - readiness (every kReadiness handle, on either backend): the fd sits in
+//     the engine's edge-triggered epoll set. A uthread that would block parks
+//     through WaitForReadable/WaitForWritable (src/runtime/sync.h) and the
+//     worker runs other uthreads until the engine latches readiness:
 //
-// The io_uring backend additionally offers a COMPLETION data path (DESIGN.md
-// section 10, "completion data path"): instead of POLL_ADD readiness followed
-// by per-request read/writev/accept4 syscalls, a handle registered in
-// kStream/kListener/kDatagram mode keeps a multishot RECV/RECVMSG/ACCEPT
-// armed whose completions carry the data itself — payload bytes land in
-// engine-owned provided buffers (IORING_REGISTER_PBUF_RING), accepted fds and
-// datagrams land in per-handle queues, and responses go out as engine-owned
-// async SEND/SENDMSG submissions with short-send continuation. All SQEs are
-// batched: one io_uring_enter per worker poll round (zero with the opt-in
-// SQPOLL knob), so a worker's steady state is ~0 syscalls per request. The
-// same latch/park machinery signals the handler: kIoReadable means "segments
-// (or fds) queued", kIoWritable means "send queue drained". Every completion
-// feature is probed at ring setup and degrades per-feature to the readiness
-// path at runtime — kernels without multishot recv or pbuf rings simply keep
-// the POLL_ADD behaviour, logged once.
+//       engine Poll():  ready.fetch_or(bits); wake parked reader/writer
+//       WaitForReadable: wait for the latch, consume it, caller then drains
+//                        the socket until EAGAIN (edge-triggered contract)
 //
-// Handle lifetime: Deregister unlinks the fd from the kernel set, closes it,
-// and pushes the handle onto the engine's retire list; the engine frees
-// retired handles at the top of a later Poll, after any in-flight event
-// batch that might still reference them has been processed (events on a
-// closed handle are skipped via the `closed` flag). This lets a handler
-// uthread close its connection from whatever worker it was stolen to while
-// the home engine is mid-poll. On io_uring, lifetime is completion-counted
-// instead: every armed op (poll, recv, accept, send, cancel) owes one
+//   - completion (kStream/kListener/kDatagram handles on a kIoUring engine):
+//     a multishot RECV/RECVMSG/ACCEPT stays armed and its completions carry
+//     the data itself — payload bytes land in engine-owned provided buffers
+//     (IORING_REGISTER_PBUF_RING), accepted fds and datagrams land in
+//     per-handle queues, and responses go out as engine-owned async
+//     SEND/SENDMSG submissions with short-send continuation. SQEs are
+//     batched, so a worker's steady state is ~0 syscalls per request. The
+//     same latch/park machinery signals the handler: kIoReadable means
+//     "segments (or fds) queued", kIoWritable means "send queue drained".
+//
+// A kIoUring engine watches its epoll set with one multishot POLL_ADD on the
+// epoll fd, so readiness handles cost no syscall until one of them fires. A
+// kIoUring engine whose kernel fails the feature probe is an epoll engine
+// (counted in uring_fallbacks); completion-mode registers on an epoll engine
+// degrade to kReadiness.
+//
+// Handle lifetime. Readiness handles: Deregister unlinks the fd from the
+// epoll set, closes it, and pushes the handle onto the engine's retire list;
+// the engine frees retired handles at the top of a later Poll, after any
+// in-flight event batch that might still reference them has been processed
+// (events on a closed handle are skipped via the `closed` flag). This lets a
+// handler uthread close its connection from whatever worker it was stolen to
+// while the home engine is mid-poll. Completion handles are completion-
+// counted instead: every armed op (recv, accept, send, cancel) owes one
 // terminal CQE, and the free point is the expected-CQE count reaching zero
 // after close.
 #ifndef SRC_RUNTIME_IO_ENGINE_H_
@@ -77,10 +79,10 @@ enum IoReady : unsigned {
 };
 
 // What a Register()ed fd is, which selects the io_uring completion op kept
-// armed for it. kReadiness is the classic POLL_ADD/epoll contract (pipes,
-// anything the caller read()s itself); the other modes opt into the
-// completion data path and silently degrade to kReadiness when the engine
-// lacks completion support (check IoEngine::completion()).
+// armed for it. kReadiness is the epoll contract (pipes, anything the caller
+// read()s itself); the other modes opt into the completion data path and
+// silently degrade to kReadiness on an epoll engine (check
+// IoEngine::completion()).
 enum class IoRegisterMode {
   kReadiness,  // readiness only; caller does its own read/write/accept
   kStream,     // connected TCP: multishot RECV + engine-owned async sends
@@ -115,28 +117,25 @@ struct alignas(kCacheLineSize) IoHandle {
   int fd = -1;
   IoEngine* engine = nullptr;
   // Effective mode: what Register actually armed (a completion-mode request
-  // on an engine without completion support records kReadiness here).
+  // on an epoll engine records kReadiness here).
   IoRegisterMode mode = IoRegisterMode::kReadiness;
   std::atomic<unsigned> ready{0};
   std::atomic<UThread*> reader{nullptr};
   std::atomic<UThread*> writer{nullptr};
   std::atomic<bool> closed{false};
-  // io_uring backend only. Which ops are in flight — at most one multishot
-  // main op (POLL_ADD, RECV, RECVMSG or ACCEPT depending on mode) and one
-  // oneshot POLLOUT (RequestWritable is a no-op while armed) — so Deregister
-  // knows which to cancel; and a count of terminal CQEs still expected
-  // (+1 per armed op, +1 per submitted cancel, +1 held by Deregister itself
-  // while it queues the cancels, +1 while parked on the engine's buffer-
-  // exhaustion stall list). The kernel does NOT order a cancelled op's CQE
-  // before its cancel's CQE (task-work can post it later), so the free point
-  // is the count reaching zero after close, not any particular completion.
-  std::atomic<bool> main_poll_armed{false};
-  std::atomic<bool> write_poll_armed{false};
+  // Completion handles only. Whether the multishot main op (RECV, RECVMSG or
+  // ACCEPT depending on mode) is in flight, so Deregister knows to cancel it;
+  // and a count of terminal CQEs still expected (+1 per armed op, +1 per
+  // submitted cancel, +1 held by Deregister itself while it queues the
+  // cancels, +1 while parked on the engine's buffer-exhaustion stall list).
+  // The kernel does NOT order a cancelled op's CQE before its cancel's CQE
+  // (task-work can post it later), so the free point is the count reaching
+  // zero after close, not any particular completion.
+  std::atomic<bool> main_op_armed{false};
   std::atomic<int> pending_cqes{0};
-  IoHandle* retire_next = nullptr;  // engine retire list linkage
+  IoHandle* retire_next = nullptr;  // readiness retire list linkage
   // Completion-mode state (recv/accept/send queues); null for kReadiness
-  // handles and whenever the engine fell back to readiness. Owned by the
-  // engine, freed with the handle.
+  // handles. Owned by the engine, freed with the handle.
   IoCompletionState* cs = nullptr;
 };
 
@@ -149,7 +148,7 @@ struct IoEngineStats {
   ShardedCounter* wakeups = nullptr;       // parked uthreads unparked
   ShardedCounter* registered = nullptr;    // fds registered (lifetime total)
   ShardedCounter* retired = nullptr;       // fds deregistered
-  ShardedCounter* uring_fallbacks = nullptr;  // io_uring refused -> epoll
+  ShardedCounter* uring_fallbacks = nullptr;  // kIoUring engine that runs epoll
   // Data-path syscall accounting, the bench's syscalls/request numerator.
   // The engine counts its own io_uring_enter calls; the readiness serving
   // paths self-report their read/write/accept syscalls via CountSys*.
@@ -166,27 +165,14 @@ struct IoEngineStats {
 
 struct IoEngineOptions {
   enum class Backend {
-    kAuto,    // io_uring when compiled in and the kernel allows it, else epoll
-    kEpoll,   // force epoll
-    kIoUring, // require io_uring (falls back to epoll with a counted fallback)
+    kEpoll,    // readiness only
+    kIoUring,  // completion data path; epoll if the kernel fails the probe
   };
-  Backend backend = Backend::kAuto;
-  int max_events = 256;     // readiness batch drained per Poll
-  int uring_entries = 256;  // SQ depth (io_uring backend)
-  // Completion data path (io_uring backend; ignored by epoll). `completion`
-  // gates the whole path — when false, kStream/kListener/kDatagram registers
-  // behave like kReadiness even on a capable kernel (the bench's readiness
-  // baseline on the uring build).
-  bool completion = true;
-  bool sqpoll = false;          // kernel SQ polling thread: zero-enter submits
-  int buf_ring_entries = 1024;  // provided buffers per engine (rounded to pow2)
-  int buf_size = 2048;          // bytes per provided buffer
-  int fixed_file_slots = 4096;  // registered-file table size (0 disables)
-  int send_batch = 16;          // max frames folded into one async send
+  Backend backend = Backend::kEpoll;
 };
 
-// Entry points callable from uthreads (Register, Deregister, RequestWritable,
-// the completion-path calls, DumpDebug) hold a Runtime::PreemptGuard while
+// Entry points callable from uthreads (Register, Deregister, the
+// completion-path calls, DumpDebug) hold a Runtime::PreemptGuard while
 // they run: they take the engine's spinlocks, and a preemption tick inside one
 // would run this worker's Poll, which takes the same locks and would spin
 // forever on a holder queued behind it.
@@ -199,21 +185,21 @@ class IoEngine {
   IoEngine(const IoEngine&) = delete;
   IoEngine& operator=(const IoEngine&) = delete;
 
-  // Registers `fd` with this engine: sets O_NONBLOCK and arms edge-triggered
-  // read/write/hup monitoring — or, for completion modes on a completion-
-  // capable engine, the mode's multishot op. Callable from any worker
-  // (registration is spinlocked); returns null if the kernel rejects the fd.
+  // Registers `fd` with this engine: sets O_NONBLOCK and adds it to the
+  // epoll set for edge-triggered read/write/hup monitoring — or, for
+  // completion modes on a kIoUring engine, arms the mode's multishot op.
+  // Callable from any worker (registration is spinlocked); returns null if
+  // the kernel rejects the fd.
   SKYLOFT_NO_SWITCH IoHandle* Register(int fd, IoRegisterMode mode = IoRegisterMode::kReadiness);
 
   // Unlinks the fd, closes it, and retires the handle (freed by a later
-  // Poll on the home engine). Callable from any worker; the caller must not
-  // touch the handle afterwards.
+  // Poll on the home engine, or by its last CQE). Callable from any worker;
+  // the caller must not touch the handle afterwards.
   SKYLOFT_NO_SWITCH void Deregister(IoHandle* handle);
 
-  // Drains up to max_events readiness/completion events, latches them into
-  // handles, and unparks waiters. Returns the number of events dispatched.
-  // Must only be called from the owning worker's scheduler loop (single
-  // consumer).
+  // Reaps completions and readiness events, latches them into handles, and
+  // unparks waiters. Returns the number of events dispatched. Must only be
+  // called from the owning worker's scheduler loop (single consumer).
   SKYLOFT_NO_SWITCH int Poll();
 
   // Pushes any deferred submission-queue entries to the kernel now (io_uring
@@ -222,13 +208,6 @@ class IoEngine {
   // send is never held hostage to the batching heuristic while the worker
   // sleeps. Home-worker only, like Poll().
   SKYLOFT_NO_SWITCH void FlushSubmissions();
-
-  // Backend hook for write-interest (io_uring arms a oneshot POLLOUT; epoll's
-  // persistent EPOLLOUT|EPOLLET makes this a no-op). Called by
-  // WaitForWritable before parking. On completion-mode handles this is a
-  // no-op too: the parked writer is woken by the send queue draining (its
-  // final send CQE latches kIoWritable), not by POLLOUT.
-  SKYLOFT_NO_SWITCH void RequestWritable(IoHandle* handle);
 
   // Re-latches readability on a handle — used by batched accept loops that
   // stop before EAGAIN (the consumed edge must be restored or the remaining
@@ -241,7 +220,7 @@ class IoEngine {
   // any thread.
   SKYLOFT_NO_SWITCH static void Interrupt(IoHandle* handle);
 
-  // ---- Completion data path (io_uring only; see completion()) ----
+  // ---- Completion data path (kIoUring engines; see completion()) ----
   //
   // All of these are callable from any worker: the handler uthread migrates
   // via work stealing while the fd's completions keep landing on the home
@@ -263,7 +242,7 @@ class IoEngine {
 
   // Queues `frame` on a kStream handle's async send queue and arms a send if
   // none is in flight (short sends re-arm from the CQE until drained; frames
-  // are coalesced up to send_batch iovecs per submission). Returns the bytes
+  // are coalesced up to 16 iovecs per submission). Returns the bytes
   // now queued, or 0 if the handle is closed/errored and the frame was
   // dropped. Single writer per handle (the one-uthread-per-connection
   // contract). Backpressure: callers above a high-water mark of
@@ -300,12 +279,11 @@ class IoEngine {
   // loops, not for hot paths.
   SKYLOFT_NO_SWITCH void DumpDebug(std::FILE* out);
 
-  bool using_io_uring() const { return uring_fd_ >= 0; }
-  // True when the completion data path is active: io_uring is up AND the
-  // kernel passed the multishot/pbuf-ring/send feature probe AND the
-  // `completion` option is on. When false, completion-mode registers degrade
-  // to readiness and the caller must use its readiness path.
-  bool completion() const { return completion_; }
+  bool using_io_uring() const { return uring_ != nullptr; }
+  // True when the completion data path is active, which is exactly when the
+  // engine runs io_uring. When false, completion-mode registers degrade to
+  // readiness and the caller must use its readiness path.
+  bool completion() const { return using_io_uring(); }
   int worker() const { return worker_; }
 
  private:
@@ -341,27 +319,24 @@ class IoEngine {
   SKYLOFT_NO_SWITCH SKYLOFT_ACQUIRES(uring_buf) static void BufLock(UringState* s);
   SKYLOFT_NO_SWITCH SKYLOFT_RELEASES(uring_buf) static void BufUnlock(UringState* s);
 
-  // epoll backend.
+  // Readiness: drains the epoll set until a short batch (both backends).
   SKYLOFT_NO_SWITCH int EpollPoll();
 
-  // io_uring backend (compiled under SKYLOFT_IO_URING; stubs otherwise).
-  bool UringInit(int entries);
+  // io_uring backend.
+  bool UringInit();  // ring + feature probe + pbuf ring + registered files
   void UringShutdown();
   SKYLOFT_NO_SWITCH int UringPoll();
-  SKYLOFT_NO_SWITCH bool UringArmPoll(IoHandle* handle, unsigned poll_mask, std::uintptr_t tag);
   // SQE slot claim/commit under the SQ lock. Prepare zeroes the next slot
   // (flushing inline once if the ring is full; null if still full); commit
-  // publishes it. Split so SQPOLL's kernel thread can never observe a
-  // half-filled entry.
+  // publishes it.
   SKYLOFT_NO_SWITCH SKYLOFT_REQUIRES(uring_sq) void* SqePrepareLocked();
   SKYLOFT_NO_SWITCH SKYLOFT_REQUIRES(uring_sq) void SqeCommitLocked();
-  SKYLOFT_NO_SWITCH void UringRemovePoll(IoHandle* handle, std::uintptr_t tag);
   SKYLOFT_NO_SWITCH void UringFinishCqe(IoHandle* handle);
   SKYLOFT_NO_SWITCH void UringSubmit();
+  // The epoll bridge: one multishot POLL_ADD on epoll_fd_.
+  SKYLOFT_NO_SWITCH bool ArmEpollBridge();
 
-  // Completion data path internals (io_uring backend; stubs otherwise).
-  bool UringSetupCompletion();  // probe + pbuf ring + registered files
-  void UringTeardownCompletion();
+  // Completion data path internals.
   SKYLOFT_NO_SWITCH bool ArmMainOp(IoHandle* handle);  // RECV/RECVMSG/ACCEPT by mode
   SKYLOFT_NO_SWITCH SKYLOFT_REQUIRES(io_handle_q) bool ArmSendLocked(IoHandle* handle);
   SKYLOFT_NO_SWITCH void QueueCancel(IoHandle* handle, std::uintptr_t target_tag);
@@ -371,17 +346,19 @@ class IoEngine {
   SKYLOFT_NO_SWITCH void StallHandle(IoHandle* handle);
   SKYLOFT_NO_SWITCH void RearmStalled();
   SKYLOFT_NO_SWITCH void FreeCompletionResources(IoHandle* handle);
-  SKYLOFT_NO_SWITCH int AllocFixedSlot(int fd);       // -1 when table off/full
+  SKYLOFT_NO_SWITCH int AllocFixedSlot(int fd);       // -1 when the table is full
   SKYLOFT_NO_SWITCH void ReleaseFixedSlot(int slot);
 
   int worker_;
-  IoEngineOptions options_;
   IoEngineStats stats_;
 
-  int epoll_fd_ = -1;
-  int uring_fd_ = -1;  // >= 0 => io_uring backend active
-  UringState* uring_ = nullptr;
-  bool completion_ = false;  // completion data path probed + enabled
+  int epoll_fd_ = -1;  // every readiness handle, on both backends
+  int uring_fd_ = -1;
+  UringState* uring_ = nullptr;  // non-null => io_uring backend active
+  // The epoll bridge (home worker only): whether its multishot poll is in
+  // flight, and whether a CQE from it asked for an epoll drain.
+  bool bridge_armed_ = false;
+  bool bridge_fired_ = false;
 
   std::vector<unsigned char> event_buf_;  // epoll_event array storage
 
@@ -395,7 +372,7 @@ class IoEngine {
   std::atomic<IoHandle*> retired_head_{nullptr};
   // Handles that survived one Poll on the retire list and are freed at the
   // next: by then no event batch fetched before their epoll_ctl(DEL) can
-  // still be in flight.
+  // still be in flight. Advanced at the top of every Poll on both backends.
   std::vector<IoHandle*> retire_graveyard_;
 
   // Completion-mode handles whose multishot op died on -ENOBUFS (buffer ring

@@ -160,6 +160,16 @@ void AsanUnpoisonStack(const void* stack, std::size_t size) {
 #endif
 }
 
+// ASan surrounds every addressable local with redzones, so its frames are
+// several times larger than plain ones, and a stack sized for a plain build
+// overflows (16 KiB connection handlers did). ASan builds scale every
+// uthread stack by this factor instead of callers sizing for the sanitizer.
+#ifdef SKYLOFT_ASAN
+constexpr std::size_t kAsanStackScale = 4;
+#else
+constexpr std::size_t kAsanStackScale = 1;
+#endif
+
 std::int64_t MonotonicNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -364,8 +374,8 @@ UThread* Runtime::AllocUthread(std::function<void()> fn) {
     // for_overwrite: zero-initializing would touch (and commit) every stack
     // page up front, which at 10k+ connection-handler uthreads is hundreds
     // of MB of RSS for pages most uthreads never reach.
-    t->stack = std::make_unique_for_overwrite<unsigned char[]>(options_.stack_size);
-    t->stack_size = options_.stack_size;
+    t->stack_size = options_.stack_size * kAsanStackScale;
+    t->stack = std::make_unique_for_overwrite<unsigned char[]>(t->stack_size);
 #ifdef SKYLOFT_TSAN
     ExtraOf(t)->tsan_fiber = __tsan_create_fiber(0);
 #endif

@@ -68,6 +68,8 @@ struct UThread : SchedItem {
 
 struct RuntimeOptions {
   int workers = 1;
+  // Bytes per uthread stack. ASan builds allocate four times this: their
+  // frames carry redzones (see uthread.cpp).
   std::size_t stack_size = 64 * 1024;
   // Preemption timer period; 0 disables preemption (cooperative only). The
   // timer delivers sched_timer_tick to the policy, which decides whether

@@ -1,13 +1,17 @@
 // Tests for the per-worker I/O engine cores (src/runtime/io_engine) and the
 // WaitForReadable/WaitForWritable park/unpark primitives, over real loopback
-// sockets and pipes:
+// sockets and pipes. The readiness tests run on both backends — on a
+// kIoUring engine every readiness handle sits in the epoll set behind the
+// bridge poll — and the completion tests on kIoUring:
 //   - park/unpark racing concurrent readiness (edge-triggered latch contract)
 //   - accept-batch overflow resupplying readiness via RelatchReadable
 //   - peer reset (SO_LINGER 0 -> RST) landing mid-write
 //   - peer hangup delivered while handler uthreads migrate across workers
 //   - Interrupt() waking a parked waiter for shutdown
-//   - Deregister with write interest still outstanding, then a late POLLOUT
-//     (the io_uring stale-oneshot-CQE lifetime regression)
+//   - Deregister with write interest still outstanding, then late writability
+//   - more ready handles than one epoll batch, and a retire with no events
+//   - the completion data path: recv/accept/send/datagram, buffer-ring
+//     exhaustion, resets, and handlers stolen across workers
 //   - the I/O-first round order: a readiness wakeup overtakes a yielding or
 //     ticked uthread on both scheduler drivers
 // Runs under TSan/ASan in CI; every cross-thread handoff here is a real
@@ -18,10 +22,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
@@ -70,6 +76,35 @@ TcpPair MakeTcpPair() {
   return pair;
 }
 
+using Backend = IoEngineOptions::Backend;
+
+RuntimeOptions IoOptions(int workers, Backend backend) {
+  RuntimeOptions options;
+  options.workers = workers;
+  options.io_engine = true;
+  options.io.backend = backend;
+  return options;
+}
+
+// Readiness tests, one instance per backend.
+class IoEngineTest : public ::testing::TestWithParam<Backend> {
+ protected:
+  RuntimeOptions Options(int workers) const { return IoOptions(workers, GetParam()); }
+};
+
+INSTANTIATE_TEST_SUITE_P(Backends, IoEngineTest,
+                         ::testing::Values(Backend::kEpoll, Backend::kIoUring),
+                         [](const ::testing::TestParamInfo<Backend>& info) {
+                           return info.param == Backend::kIoUring ? "IoUring" : "Epoll";
+                         });
+
+// Completion tests: kIoUring engines. They skip only where the kernel
+// refuses io_uring, which leaves the engine on epoll.
+class IoEngineCompletionTest : public ::testing::Test {
+ protected:
+  static RuntimeOptions Options(int workers) { return IoOptions(workers, Backend::kIoUring); }
+};
+
 // Runtime-aware join: spin on SleepFor so the worker keeps polling engines
 // (std::thread::join on a uthread would block the worker pthread).
 SKYLOFT_MAY_SWITCH void AwaitFlag(const std::atomic<bool>& flag) {
@@ -78,8 +113,8 @@ SKYLOFT_MAY_SWITCH void AwaitFlag(const std::atomic<bool>& flag) {
   }
 }
 
-TEST(IoEngineTest, RegisterSetsNonblockingAndDeregisterCloses) {
-  Runtime rt(RuntimeOptions{.workers = 1, .io_engine = true});
+TEST_P(IoEngineTest, RegisterSetsNonblockingAndDeregisterCloses) {
+  Runtime rt(Options(1));
   TcpPair pair = MakeTcpPair();
   rt.Run([&] {
     IoEngine* engine = rt.io_engine(0);
@@ -96,9 +131,9 @@ TEST(IoEngineTest, RegisterSetsNonblockingAndDeregisterCloses) {
   close(pair.client);
 }
 
-TEST(IoEngineTest, ParkUnparkUnderConcurrentReadiness) {
+TEST_P(IoEngineTest, ParkUnparkUnderConcurrentReadiness) {
   constexpr std::size_t kTotal = 256 * 1024;
-  Runtime rt(RuntimeOptions{.workers = 2, .io_engine = true});
+  Runtime rt(Options(2));
   TcpPair pair = MakeTcpPair();
 
   std::atomic<bool> reader_done{false};
@@ -160,10 +195,10 @@ TEST(IoEngineTest, ParkUnparkUnderConcurrentReadiness) {
   EXPECT_TRUE(saw_eof);
 }
 
-TEST(IoEngineTest, AcceptBatchOverflowRelatchesReadiness) {
+TEST_P(IoEngineTest, AcceptBatchOverflowRelatchesReadiness) {
   constexpr int kClients = 24;
   constexpr int kBatch = 4;  // far smaller than the backlog burst
-  Runtime rt(RuntimeOptions{.workers = 1, .io_engine = true});
+  Runtime rt(Options(1));
 
   const int lfd = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   ASSERT_GE(lfd, 0);
@@ -220,8 +255,8 @@ TEST(IoEngineTest, AcceptBatchOverflowRelatchesReadiness) {
   }
 }
 
-TEST(IoEngineTest, PeerResetMidWrite) {
-  Runtime rt(RuntimeOptions{.workers = 1, .io_engine = true});
+TEST_P(IoEngineTest, PeerResetMidWrite) {
+  Runtime rt(Options(1));
   TcpPair pair = MakeTcpPair();
   // Shrink both directions so the writer hits EAGAIN (and parks) quickly.
   const int small = 8 * 1024;
@@ -282,12 +317,12 @@ TEST(IoEngineTest, PeerResetMidWrite) {
   EXPECT_TRUE(observed_reset);
 }
 
-TEST(IoEngineTest, HupDeliveredWhileHandlersMigrate) {
+TEST_P(IoEngineTest, HupDeliveredWhileHandlersMigrate) {
   // Handlers are registered with worker 0's engine but run (and migrate)
   // wherever stealing takes them; the engine's Unpark must chase them across
   // workers. EPOLLHUP/RDHUP from the peer close is the wakeup under test.
   constexpr int kConns = 8;
-  Runtime rt(RuntimeOptions{.workers = 2, .io_engine = true});
+  Runtime rt(Options(2));
   std::vector<TcpPair> pairs;
   for (int i = 0; i < kConns; i++) {
     pairs.push_back(MakeTcpPair());
@@ -353,8 +388,8 @@ TEST(IoEngineTest, HupDeliveredWhileHandlersMigrate) {
   EXPECT_EQ(eof_count.load(), kConns);
 }
 
-TEST(IoEngineTest, InterruptWakesParkedWaiter) {
-  Runtime rt(RuntimeOptions{.workers = 1, .io_engine = true});
+TEST_P(IoEngineTest, InterruptWakesParkedWaiter) {
+  Runtime rt(Options(1));
   TcpPair pair = MakeTcpPair();  // no traffic: the waiter can only be interrupted
   std::atomic<bool> done{false};
   unsigned observed = 0;
@@ -375,15 +410,13 @@ TEST(IoEngineTest, InterruptWakesParkedWaiter) {
   close(pair.client);
 }
 
-TEST(IoEngineTest, InterruptedWriterDeregisterThenPeerDrain) {
-  // Regression for the io_uring lifetime bug: a writer parked in
-  // WaitForWritable (oneshot POLLOUT pending in the ring) is woken by
-  // Interrupt — no write CQE is consumed — and deregisters its handle.
-  // io_uring holds a file reference per pending poll, so the close alone
-  // does not complete it; when the peer later drains the socket the POLLOUT
-  // completes, and it must land on a cancelled poll, never a freed handle
-  // (pre-fix this is a heap-use-after-free under ASan on the uring build).
-  Runtime rt(RuntimeOptions{.workers = 1, .io_engine = true});
+TEST_P(IoEngineTest, InterruptedWriterDeregisterThenPeerDrain) {
+  // A writer parked in WaitForWritable is woken by Interrupt — no
+  // writability event is consumed — and deregisters its handle. When the
+  // peer later drains the socket, the kernel reports writability against
+  // whatever interest survived Deregister; it must never reach the freed
+  // handle (ASan reports it if it does).
+  Runtime rt(Options(1));
   TcpPair pair = MakeTcpPair();
   const int small = 8 * 1024;
   setsockopt(pair.server, SOL_SOCKET, SO_SNDBUF, &small, sizeof(small));
@@ -429,10 +462,121 @@ TEST(IoEngineTest, InterruptedWriterDeregisterThenPeerDrain) {
   close(pair.client);
 }
 
-TEST(IoEngineTest, PipeReadinessWorks) {
+TEST_P(IoEngineTest, RegisterModeFollowsBackend) {
+  // A completion mode is a request: an epoll engine records kReadiness and
+  // serves the fd through its epoll set.
+  Runtime rt(Options(1));
+  int sv[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  rt.Run([&] {
+    IoEngine* engine = rt.io_engine(0);
+    EXPECT_EQ(engine->completion(), engine->using_io_uring());
+    IoHandle* handle = engine->Register(sv[0], IoRegisterMode::kStream);
+    ASSERT_NE(handle, nullptr);
+    if (engine->completion()) {
+      EXPECT_EQ(handle->mode, IoRegisterMode::kStream);
+      EXPECT_NE(handle->cs, nullptr);
+    } else {
+      EXPECT_EQ(GetParam(), Backend::kEpoll) << "the kernel refused io_uring";
+      EXPECT_EQ(handle->mode, IoRegisterMode::kReadiness);
+      EXPECT_EQ(handle->cs, nullptr);
+    }
+    engine->Deregister(handle);
+  });
+  close(sv[1]);
+}
+
+TEST_P(IoEngineTest, MoreReadyHandlesThanOneBatchAllDelivered) {
+  // 300 handles turn ready between two polls, more than one epoll_wait
+  // batch (256). Epoll keeps the undelivered edges queued, but the io_uring
+  // bridge posts one CQE per wakeup of the set, not per event: a drain that
+  // stopped after one batch would strand the rest until an unrelated event.
+  constexpr int kHandles = 300;
+  Runtime rt(Options(1));
+  std::vector<std::array<int, 2>> pairs(kHandles);
+  for (std::array<int, 2>& sv : pairs) {
+    ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv.data()), 0);
+    ASSERT_EQ(write(sv[1], "x", 1), 1);
+  }
+  int latched = 0;
+  rt.Run([&] {
+    IoEngine* engine = rt.io_engine(0);
+    // Let the worker idle once, so a kIoUring engine's bridge is armed and
+    // the events below arrive through its CQEs.
+    Runtime::SleepFor(5'000);
+    // Register never switches, so the one worker cannot poll in between:
+    // all 300 are ready before its next round.
+    std::vector<IoHandle*> handles;
+    for (std::array<int, 2>& sv : pairs) {
+      handles.push_back(engine->Register(sv[0]));
+      ASSERT_NE(handles.back(), nullptr);
+    }
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    do {
+      Runtime::SleepFor(1'000);
+      latched = 0;
+      for (IoHandle* handle : handles) {
+        latched += (handle->ready.load(std::memory_order_acquire) & kIoReadable) != 0 ? 1 : 0;
+      }
+    } while (latched < kHandles && std::chrono::steady_clock::now() < deadline);
+    for (IoHandle* handle : handles) {
+      engine->Deregister(handle);
+    }
+  });
+  EXPECT_EQ(latched, kHandles);
+  for (std::array<int, 2>& sv : pairs) {
+    close(sv[1]);
+  }
+}
+
+// Live handles of an engine, counted from its DumpDebug lines.
+int LiveHandles(IoEngine* engine) {
+  char* text = nullptr;
+  std::size_t len = 0;
+  std::FILE* out = open_memstream(&text, &len);
+  engine->DumpDebug(out);
+  std::fclose(out);
+  int n = 0;
+  for (const char* p = text; (p = std::strstr(p, "\n  fd=")) != nullptr; p++) {
+    n++;
+  }
+  std::free(text);
+  return n;
+}
+
+TEST_P(IoEngineTest, DeregisteredHandleFreedWithoutFurtherEvents) {
+  // The retire list advances on every Poll, not on an epoll event: a
+  // deregistered readiness handle is freed even when the set stays quiet,
+  // which on a kIoUring engine means no bridge CQE ever arrives again.
+  Runtime rt(Options(1));
+  int sv[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  int live_before = -1;
+  int live_after = -1;
+  rt.Run([&] {
+    IoEngine* engine = rt.io_engine(0);
+    IoHandle* handle = engine->Register(sv[0]);
+    ASSERT_NE(handle, nullptr);
+    // Consume the registration's own writability edge, so nothing is left
+    // for the set to report once the handle is gone.
+    EXPECT_NE(WaitForWritable(handle) & kIoWritable, 0u);
+    live_before = LiveHandles(engine);
+    engine->Deregister(handle);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    do {
+      Runtime::SleepFor(1'000);
+      live_after = LiveHandles(engine);
+    } while (live_after > 0 && std::chrono::steady_clock::now() < deadline);
+  });
+  EXPECT_EQ(live_before, 1);
+  EXPECT_EQ(live_after, 0);
+  close(sv[1]);
+}
+
+TEST_P(IoEngineTest, PipeReadinessWorks) {
   // The engines accept any pollable fd, not just sockets; the kv bench
   // parks on a pipe from its forked client process exactly like this.
-  Runtime rt(RuntimeOptions{.workers = 1, .io_engine = true});
+  Runtime rt(Options(1));
   int pipefd[2];
   ASSERT_EQ(pipe(pipefd), 0);
 
@@ -473,9 +617,9 @@ TEST(IoEngineTest, PipeReadinessWorks) {
 
 // ---------------------------------------------------------------------------
 // Completion data path (multishot RECV/ACCEPT, provided buffer rings, async
-// sends). Every test gates on IoEngine::completion() — the runtime probe —
-// and skips on epoll builds, pre-6.0 kernels, or completion=false, where the
-// same registrations silently degrade to the readiness path tested above.
+// sends) on kIoUring engines. Every test gates on IoEngine::completion(),
+// the run-time probe, and skips only where the kernel refused io_uring and
+// the same registrations degrade to the readiness path tested above.
 // ---------------------------------------------------------------------------
 
 // Reads a runtime io counter by unqualified name from the global registry
@@ -514,10 +658,10 @@ std::string PatternBytes(std::size_t n, unsigned seed) {
   return s;
 }
 
-TEST(IoEngineTest, CompletionStreamEchoRoundTrip) {
-  Runtime rt(RuntimeOptions{.workers = 1, .io_engine = true});
+TEST_F(IoEngineCompletionTest, CompletionStreamEchoRoundTrip) {
+  Runtime rt(Options(1));
   if (!rt.io_engine(0)->completion()) {
-    GTEST_SKIP() << "completion data path unavailable on this build/kernel";
+    GTEST_SKIP() << "the kernel refused io_uring; the engine runs epoll";
   }
   TcpPair pair = MakeTcpPair();
   const std::string msg = PatternBytes(512, 7);
@@ -566,10 +710,10 @@ TEST(IoEngineTest, CompletionStreamEchoRoundTrip) {
   client.join();
 }
 
-TEST(IoEngineTest, CompletionShortSendContinuation) {
-  Runtime rt(RuntimeOptions{.workers = 1, .io_engine = true});
+TEST_F(IoEngineCompletionTest, CompletionShortSendContinuation) {
+  Runtime rt(Options(1));
   if (!rt.io_engine(0)->completion()) {
-    GTEST_SKIP() << "completion data path unavailable on this build/kernel";
+    GTEST_SKIP() << "the kernel refused io_uring; the engine runs epoll";
   }
   TcpPair pair = MakeTcpPair();
   // Tiny send buffer + a slow reader: the async SEND must complete short and
@@ -615,20 +759,18 @@ TEST(IoEngineTest, CompletionShortSendContinuation) {
   client.join();
 }
 
-TEST(IoEngineTest, CompletionBufferRingExhaustionRearms) {
-  // An 8-slot x 256-byte provided ring against a 64 KiB flood: the multishot
-  // recv MUST hit -ENOBUFS, park on the stall list, and re-arm as the
-  // consumer recycles — all bytes still arrive, in order.
-  RuntimeOptions ropts{.workers = 1, .io_engine = true};
-  ropts.io.buf_ring_entries = 8;
-  ropts.io.buf_size = 256;
-  Runtime rt(ropts);
+TEST_F(IoEngineCompletionTest, CompletionBufferRingExhaustionRearms) {
+  // A 4 MiB flood against the engine's 2 MiB provided-buffer ring, with the
+  // consumer asleep: the multishot recv MUST hit -ENOBUFS, park on the stall
+  // list, and re-arm as the consumer recycles — all bytes still arrive, in
+  // order.
+  Runtime rt(Options(1));
   if (!rt.io_engine(0)->completion()) {
-    GTEST_SKIP() << "completion data path unavailable on this build/kernel";
+    GTEST_SKIP() << "the kernel refused io_uring; the engine runs epoll";
   }
   const std::int64_t exhaustions_before = IoCounterValue("buf_exhaustions");
   TcpPair pair = MakeTcpPair();
-  constexpr std::size_t kTotal = 64 * 1024;
+  constexpr std::size_t kTotal = 4 << 20;
   const std::string payload = PatternBytes(kTotal, 3);
   std::thread client([&] {
     std::size_t sent = 0;
@@ -646,7 +788,7 @@ TEST(IoEngineTest, CompletionBufferRingExhaustionRearms) {
     ASSERT_NE(handle, nullptr);
     ASSERT_NE(handle->cs, nullptr);
     Runtime::Spawn([&, handle] {
-      // Let the flood drain the 2 KiB ring dry before consuming anything.
+      // Let the flood drain the ring dry before consuming anything.
       Runtime::SleepFor(50'000);
       std::string got;
       while (got.size() < kTotal) {
@@ -664,13 +806,13 @@ TEST(IoEngineTest, CompletionBufferRingExhaustionRearms) {
   client.join();
 }
 
-TEST(IoEngineTest, CompletionEchoUnderStealChurn) {
+TEST_F(IoEngineCompletionTest, CompletionEchoUnderStealChurn) {
   // Multi-worker echo: handler uthreads migrate via work stealing while
   // their fds' completions keep landing on the HOME engine, so PopRecv/
   // RecycleBuffer/SendEnqueue all cross workers. TSan is the real assertion.
-  Runtime rt(RuntimeOptions{.workers = 2, .io_engine = true});
+  Runtime rt(Options(2));
   if (!rt.io_engine(0)->completion()) {
-    GTEST_SKIP() << "completion data path unavailable on this build/kernel";
+    GTEST_SKIP() << "the kernel refused io_uring; the engine runs epoll";
   }
   constexpr int kConns = 4;
   constexpr int kRounds = 200;
@@ -742,13 +884,13 @@ TEST(IoEngineTest, CompletionEchoUnderStealChurn) {
   }
 }
 
-TEST(IoEngineTest, CompletionPeerResetMidSend) {
+TEST_F(IoEngineCompletionTest, CompletionPeerResetMidSend) {
   // RST lands while an async send is in flight and the multishot recv is
   // armed: the error must latch kIoError (waking the handler), the send
   // queue must drop, and teardown must not leak ops or buffers (ASan).
-  Runtime rt(RuntimeOptions{.workers = 1, .io_engine = true});
+  Runtime rt(Options(1));
   if (!rt.io_engine(0)->completion()) {
-    GTEST_SKIP() << "completion data path unavailable on this build/kernel";
+    GTEST_SKIP() << "the kernel refused io_uring; the engine runs epoll";
   }
   TcpPair pair = MakeTcpPair();
   const int sndbuf = 4096;
@@ -791,12 +933,12 @@ TEST(IoEngineTest, CompletionPeerResetMidSend) {
   client.join();
 }
 
-TEST(IoEngineTest, CompletionEofDeliveredAfterData) {
+TEST_F(IoEngineCompletionTest, CompletionEofDeliveredAfterData) {
   // Graceful FIN: every data CQE precedes the zero-byte EOF CQE, so a
   // handler that wakes on kIoHup still finds (and must drain) all bytes.
-  Runtime rt(RuntimeOptions{.workers = 1, .io_engine = true});
+  Runtime rt(Options(1));
   if (!rt.io_engine(0)->completion()) {
-    GTEST_SKIP() << "completion data path unavailable on this build/kernel";
+    GTEST_SKIP() << "the kernel refused io_uring; the engine runs epoll";
   }
   TcpPair pair = MakeTcpPair();
   constexpr std::size_t kTotal = 10 * 1024;
@@ -834,10 +976,10 @@ TEST(IoEngineTest, CompletionEofDeliveredAfterData) {
   client.join();
 }
 
-TEST(IoEngineTest, CompletionMultishotAcceptQueuesFds) {
-  Runtime rt(RuntimeOptions{.workers = 1, .io_engine = true});
+TEST_F(IoEngineCompletionTest, CompletionMultishotAcceptQueuesFds) {
+  Runtime rt(Options(1));
   if (!rt.io_engine(0)->completion()) {
-    GTEST_SKIP() << "completion data path unavailable on this build/kernel";
+    GTEST_SKIP() << "the kernel refused io_uring; the engine runs epoll";
   }
   const int lfd = socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(lfd, 0);
@@ -913,10 +1055,10 @@ TEST(IoEngineTest, CompletionMultishotAcceptQueuesFds) {
   }
 }
 
-TEST(IoEngineTest, CompletionDatagramRoundTrip) {
-  Runtime rt(RuntimeOptions{.workers = 1, .io_engine = true});
+TEST_F(IoEngineCompletionTest, CompletionDatagramRoundTrip) {
+  Runtime rt(Options(1));
   if (!rt.io_engine(0)->completion()) {
-    GTEST_SKIP() << "completion data path unavailable on this build/kernel";
+    GTEST_SKIP() << "the kernel refused io_uring; the engine runs epoll";
   }
   const int ufd = socket(AF_INET, SOCK_DGRAM, 0);
   ASSERT_GE(ufd, 0);

@@ -1,8 +1,9 @@
 // Tests for the networked KV server's store and request path
 // (src/apps/kv_server_net): SCAN over the striped store returns the global
 // first `limit` keys >= start, in key order, and the same holds end to end
-// over real loopback TCP. On an io_uring build the server runs its
-// completion data path, so the loopback test covers both backends.
+// over real loopback TCP. The loopback test runs once per I/O backend: the
+// epoll engine serves the readiness path, the io_uring engine the
+// completion data path.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -138,10 +139,21 @@ std::vector<std::string> RoundTrips(std::uint16_t port, const std::vector<std::s
   return replies;
 }
 
-TEST(KvServerNetTest, ScanOverLoopbackTcp) {
+class KvServerNetTest : public ::testing::TestWithParam<IoEngineOptions::Backend> {};
+
+INSTANTIATE_TEST_SUITE_P(Backends, KvServerNetTest,
+                         ::testing::Values(IoEngineOptions::Backend::kEpoll,
+                                           IoEngineOptions::Backend::kIoUring),
+                         [](const ::testing::TestParamInfo<IoEngineOptions::Backend>& info) {
+                           return info.param == IoEngineOptions::Backend::kIoUring ? "IoUring"
+                                                                                   : "Epoll";
+                         });
+
+TEST_P(KvServerNetTest, ScanOverLoopbackTcp) {
   RuntimeOptions ropts;
   ropts.workers = 2;
   ropts.io_engine = true;
+  ropts.io.backend = GetParam();
   Runtime rt(ropts);
 
   // The server preloads user<i> -> profile-<i>, so keys sort as strings:
