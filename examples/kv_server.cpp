@@ -1,13 +1,14 @@
 // A real networked KV server on the Skyloft host runtime.
 //
 // The serving path lives in src/apps/kv_server_net: per-worker I/O engine
-// cores (epoll, or io_uring's completion data path), SO_REUSEPORT
-// listener sharding, one handler uthread per TCP connection, frame-codec
-// requests answered via scatter/gather writev. This main just stands the
-// server up on loopback, drives it with a few closed-loop client threads
-// over real TCP sockets (plus a UDP spot check), and dumps the metrics
-// registry — per-op-kind service latencies, preemption/steal counters —
-// as JSON. For the measured sweep, see bench/bench_kv_server.
+// cores (epoll syscalls, or io_uring completions, behind one data API),
+// SO_REUSEPORT listener sharding, one handler uthread per TCP connection,
+// frame-codec requests whose replies leave in one send per read batch. This
+// main just stands the server up on loopback, drives it with a few
+// closed-loop client threads over real TCP sockets (plus a UDP spot check),
+// and dumps the metrics registry — per-op-kind service latencies,
+// preemption/steal counters — as JSON. For the measured sweep, see
+// bench/bench_kv_server.
 //
 //   ./build/examples/kv_server [workers] [clients] [requests_per_client] [epoll|io_uring]
 #include <arpa/inet.h>
@@ -191,8 +192,8 @@ int main(int argc, char** argv) {
   const bool completion = rt.io_engine(0)->completion();
   std::printf("kv_server: %d workers, %d clients x %d requests over TCP (udp check: %s)\n",
               workers, clients, requests, udp_ok ? "ok" : "FAILED");
-  std::printf("io backend: %s requested, %s data path\n", backend.c_str(),
-              completion ? "completion" : "readiness");
+  std::printf("io backend: %s requested, engines serve the data calls with %s\n",
+              backend.c_str(), completion ? "io_uring completions" : "epoll syscalls");
   std::printf("throughput: %.0f req/s (wall %.2fs)\n", static_cast<double>(served) / secs,
               secs);
   std::printf("%s\n", metrics_json.c_str());

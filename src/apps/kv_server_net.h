@@ -3,32 +3,24 @@
 // This is the production serving path for the paper's §5.3 Memcached-style
 // scenario: the in-memory KvStore served over *real* TCP and UDP sockets by
 // uthreads on the M:N runtime, with per-worker I/O engine cores
-// (src/runtime/io_engine) turning socket readiness into park/unpark wakeups.
+// (src/runtime/io_engine) turning socket events into park/unpark wakeups.
 //
 // Architecture (one slice per runtime worker):
 //   - a SO_REUSEPORT TCP listener + UDP socket per worker, registered with
 //     that worker's engine, so the kernel shards connections/datagrams at
 //     accept time and an fd never changes engines;
-//   - an acceptor uthread per listener draining accepts in batches;
-//   - one handler uthread per TCP connection: WaitForReadable -> drain ->
-//     frame-decode (src/net/frame) -> serve -> respond via writev of
-//     per-connection scatter/gather buffers (frame header and payload are
-//     separate iovecs; nothing is concatenated);
+//   - an acceptor uthread per listener taking connections in batches;
+//   - one handler uthread per TCP connection: WaitForReadable -> Recv until
+//     nothing is left -> frame-decode (src/net/frame) -> serve -> one Send
+//     of the batch's reply frames;
 //   - a UDP uthread per worker serving one frame per datagram.
 //
-// Every server loop has TWO data paths selected per handle at runtime:
-//   - readiness (an epoll engine): the classic accept4/read/writev/
-//     recvfrom/sendto loops above, self-reporting their syscalls via
-//     IoEngine::CountSys* for the syscalls/request metric;
-//   - completion (an io_uring engine: multishot + provided buffer rings):
-//     accepts arrive via TakeAccepted, request bytes via PopRecv from kernel-filled
-//     provided buffers (recycled after FrameDecoder::Feed), and responses go
-//     out through the engine's async send queue (SendEnqueue) — the steady
-//     state makes zero syscalls per request; the engine batches one
-//     io_uring_enter per poll round.
-// Register() picks the path: completion-mode registrations degrade to
-// readiness automatically when the engine lacks completion support, so one
-// binary serves both and the loops branch on IoHandle::cs.
+// Each loop exists once. The server only calls the engine's data calls
+// (Accept, Recv/Send, RecvFrom/SendTo); the engine's backend decides how
+// they run. An epoll engine makes the syscalls from the handler and counts
+// them for the syscalls/request metric; an io_uring engine serves them from
+// multishot completions and provided buffers and sends asynchronously, so
+// its steady state makes almost no syscalls per request.
 //
 // Handler uthreads are ordinary runtime uthreads: they migrate via work
 // stealing, while their fd's readiness keeps firing on the home engine —
@@ -132,12 +124,7 @@ struct KvServerNetOptions {
   bool udp = true;
   std::uint16_t tcp_port = 0;  // 0 = kernel-assigned; read back via tcp_port()
   std::uint16_t udp_port = 0;
-  int accept_batch = 64;   // accepts drained per readiness edge
-  int udp_batch = 64;      // datagrams drained per readiness edge
-  int listen_backlog = 4096;
-  int lock_stripes = 0;    // 0 = derived from worker count
   int preload_keys = 10'000;
-  std::size_t read_buffer = 4096;  // per-connection heap read buffer
 };
 
 // One serving instance. Lifecycle (all inside Runtime::Run, uthread context):
@@ -170,11 +157,6 @@ class KvServerNet {
   SKYLOFT_MAY_SWITCH void AcceptLoop(Listener* listener);
   SKYLOFT_MAY_SWITCH void HandleConn(IoHandle* handle);
   SKYLOFT_MAY_SWITCH void UdpLoop(Listener* listener);
-  // Per-data-path bodies of HandleConn/UdpLoop (see the file comment).
-  // The Conn loops return true when the connection died by peer reset.
-  SKYLOFT_MAY_SWITCH bool ConnLoopReadiness(IoHandle* handle, std::uint64_t lane);
-  SKYLOFT_MAY_SWITCH bool ConnLoopCompletion(IoHandle* handle, std::uint64_t lane);
-  SKYLOFT_MAY_SWITCH void UdpLoopCompletion(Listener* listener, std::uint64_t lane);
 
   void TrackConn(IoHandle* handle);
   // Returns false if Stop() already interrupted (and will not re-interrupt)

@@ -71,12 +71,11 @@ constexpr int kStealRetries = 2;
 
 }  // namespace
 
-// One policy instance plus the EngineView it schedules through. Worker
-// indices handed to the policy are shard-local [0, count); WorkerCore maps
-// them back to global runtime worker indices.
+// The shard-mutex driver's one policy instance plus the EngineView it
+// schedules through; it covers every worker, so policy worker indices are
+// runtime worker indices.
 struct HostSched::Shard : EngineView {
   HostSched* parent = nullptr;
-  int base = 0;
   int count = 0;
   std::mutex mu;
   std::unique_ptr<SchedPolicy> owned;
@@ -84,10 +83,8 @@ struct HostSched::Shard : EngineView {
 
   TimeNs Now() const override { return HostNowNs(); }
   int NumWorkers() const override { return count; }
-  int WorkerCore(int index) const override { return base + index; }
-  bool IsWorkerIdle(int index) const override {
-    return parent->idle_map_.Test(base + index);
-  }
+  int WorkerCore(int index) const override { return index; }
+  bool IsWorkerIdle(int index) const override { return parent->idle_map_.Test(index); }
 };
 
 // Lock-free driver state for one worker: the two-level runqueue (DESIGN.md
@@ -139,48 +136,19 @@ HostSched::HostSched(int workers, const HostSchedOptions& options)
     return;
   }
 
-  int shards = options.shards;
+  shard_ = std::make_unique<Shard>();
+  shard_->parent = this;
+  shard_->count = workers_;
   if (options.custom_policy != nullptr) {
-    shards = 1;  // one instance cannot be split
+    shard_->policy = options.custom_policy;
+  } else {
+    shard_->owned = std::move(owned);  // reuse the capability-probe instance
+    shard_->policy = shard_->owned.get();
   }
-  if (shards < 1) {
-    shards = 1;
-  }
-  if (shards > workers_) {
-    shards = workers_;
-  }
-
-  shard_of_.resize(static_cast<std::size_t>(workers_));
-  int base = 0;
-  for (int s = 0; s < shards; s++) {
-    auto shard = std::make_unique<Shard>();
-    shard->parent = this;
-    shard->base = base;
-    shard->count = workers_ / shards + (s < workers_ % shards ? 1 : 0);
-    if (options.custom_policy != nullptr) {
-      shard->policy = options.custom_policy;
-    } else if (s == 0) {
-      shard->owned = std::move(owned);  // reuse the capability-probe instance
-      shard->policy = shard->owned.get();
-    } else {
-      shard->owned = MakeHostPolicy(options.policy, options.time_slice_us);
-      shard->policy = shard->owned.get();
-    }
-    shard->policy->SchedInit(shard.get());
-    for (int w = base; w < base + shard->count; w++) {
-      shard_of_[static_cast<std::size_t>(w)] = s;
-    }
-    base += shard->count;
-    shards_.push_back(std::move(shard));
-  }
-  SKYLOFT_CHECK(base == workers_);
+  shard_->policy->SchedInit(shard_.get());
 }
 
 HostSched::~HostSched() = default;
-
-HostSched::Shard* HostSched::ShardOf(int worker) const {
-  return shards_[static_cast<std::size_t>(shard_of_[static_cast<std::size_t>(worker)])].get();
-}
 
 // ---- lock-free driver -------------------------------------------------------
 
@@ -291,23 +259,17 @@ void HostSched::Enqueue(SchedItem* item, unsigned flags, int worker_hint) {
     LfEnqueue(item, target);
     return;
   }
-  Shard* shard;
-  int local_hint;
+  int local_hint = -1;
   if (worker_hint >= 0 && worker_hint < workers_) {
-    shard = ShardOf(worker_hint);
-    local_hint = worker_hint - shard->base;
+    local_hint = worker_hint;
     // Length accounting only informs cross-worker placement; skip the atomic
     // on a single-worker runtime.
     if (workers_ > 1) {
       approx_len_[worker_hint].len.fetch_add(1, std::memory_order_relaxed);
     }
-  } else {
-    const unsigned s = rr_shard_.fetch_add(1, std::memory_order_relaxed);
-    shard = shards_[s % shards_.size()].get();
-    local_hint = -1;
   }
-  std::lock_guard<std::mutex> lock(shard->mu);
-  shard->policy->TaskEnqueue(item, flags, local_hint);
+  std::lock_guard<std::mutex> lock(shard_->mu);
+  shard_->policy->TaskEnqueue(item, flags, local_hint);
 }
 
 void HostSched::EnqueueNew(SchedItem* item, unsigned flags, int worker_hint) {
@@ -320,22 +282,16 @@ void HostSched::EnqueueNew(SchedItem* item, unsigned flags, int worker_hint) {
     LfEnqueue(item, target);
     return;
   }
-  Shard* shard;
-  int local_hint;
+  int local_hint = -1;
   if (worker_hint >= 0 && worker_hint < workers_) {
-    shard = ShardOf(worker_hint);
-    local_hint = worker_hint - shard->base;
+    local_hint = worker_hint;
     if (workers_ > 1) {
       approx_len_[worker_hint].len.fetch_add(1, std::memory_order_relaxed);
     }
-  } else {
-    const unsigned s = rr_shard_.fetch_add(1, std::memory_order_relaxed);
-    shard = shards_[s % shards_.size()].get();
-    local_hint = -1;
   }
-  std::lock_guard<std::mutex> lock(shard->mu);
-  shard->policy->TaskInit(item);
-  shard->policy->TaskEnqueue(item, flags, local_hint);
+  std::lock_guard<std::mutex> lock(shard_->mu);
+  shard_->policy->TaskInit(item);
+  shard_->policy->TaskEnqueue(item, flags, local_hint);
 }
 
 SchedItem* HostSched::Retire(SchedItem* dead, int worker) {
@@ -345,16 +301,14 @@ SchedItem* HostSched::Retire(SchedItem* dead, int worker) {
     (void)dead;
     return LfDequeue(worker);
   }
-  Shard* shard = ShardOf(worker);
-  const int local = worker - shard->base;
   SchedItem* next;
   {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->policy->TaskTerminate(dead);
-    next = shard->policy->TaskDequeue(local);
+    std::lock_guard<std::mutex> lock(shard_->mu);
+    shard_->policy->TaskTerminate(dead);
+    next = shard_->policy->TaskDequeue(worker);
     if (next == nullptr) {
-      shard->policy->SchedBalance(local);
-      next = shard->policy->TaskDequeue(local);
+      shard_->policy->SchedBalance(worker);
+      next = shard_->policy->TaskDequeue(worker);
       if (next != nullptr) {
         steals_->Inc(worker);
       }
@@ -374,15 +328,13 @@ SchedItem* HostSched::Dequeue(int worker) {
   if (lock_free_) {
     return LfDequeue(worker);
   }
-  Shard* shard = ShardOf(worker);
-  const int local = worker - shard->base;
   SchedItem* item;
   {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    item = shard->policy->TaskDequeue(local);
+    std::lock_guard<std::mutex> lock(shard_->mu);
+    item = shard_->policy->TaskDequeue(worker);
     if (item == nullptr) {
-      shard->policy->SchedBalance(local);
-      item = shard->policy->TaskDequeue(local);
+      shard_->policy->SchedBalance(worker);
+      item = shard_->policy->TaskDequeue(worker);
       if (item != nullptr) {
         steals_->Inc(worker);
       }
@@ -415,16 +367,14 @@ SchedItem* HostSched::Requeue(SchedItem* item, unsigned flags, int worker) {
   // immediately needs the next one, and paying two lock round-trips there
   // dominates the cost of a Yield. Policy call order is identical to
   // Enqueue(worker) followed by Dequeue(worker).
-  Shard* shard = ShardOf(worker);
-  const int local = worker - shard->base;
   SchedItem* next;
   {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->policy->TaskEnqueue(item, flags, local);
-    next = shard->policy->TaskDequeue(local);
+    std::lock_guard<std::mutex> lock(shard_->mu);
+    shard_->policy->TaskEnqueue(item, flags, worker);
+    next = shard_->policy->TaskDequeue(worker);
     if (next == nullptr) {
-      shard->policy->SchedBalance(local);
-      next = shard->policy->TaskDequeue(local);
+      shard_->policy->SchedBalance(worker);
+      next = shard_->policy->TaskDequeue(worker);
       if (next != nullptr) {
         steals_->Inc(worker);
       }
@@ -472,9 +422,8 @@ bool HostSched::Tick(int worker, SchedItem* current, DurationNs ran_ns) {
     }
     return false;
   }
-  Shard* shard = ShardOf(worker);
-  std::lock_guard<std::mutex> lock(shard->mu);
-  return shard->policy->SchedTimerTick(worker - shard->base, current, ran_ns);
+  std::lock_guard<std::mutex> lock(shard_->mu);
+  return shard_->policy->SchedTimerTick(worker, current, ran_ns);
 }
 
 int HostSched::ExternalTarget() const {
@@ -537,12 +486,8 @@ std::size_t HostSched::Queued() const {
     }
     return total;
   }
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->policy->QueuedTasks();
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(shard_->mu);
+  return shard_->policy->QueuedTasks();
 }
 
 void HostSched::SetQuantum(DurationNs quantum_ns, int worker) {
@@ -563,16 +508,9 @@ void HostSched::SetQuantum(DurationNs quantum_ns, int worker) {
     }
     return;
   }
-  if (worker >= 0 && worker < workers_) {
-    Shard* shard = ShardOf(worker);
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->policy->SetQuantum(quantum_ns, worker - shard->base);
-    return;
-  }
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->policy->SetQuantum(quantum_ns, SchedPolicy::kAllWorkers);
-  }
+  std::lock_guard<std::mutex> lock(shard_->mu);
+  shard_->policy->SetQuantum(quantum_ns,
+                             worker >= 0 && worker < workers_ ? worker : SchedPolicy::kAllWorkers);
 }
 
 DurationNs HostSched::QuantumFor(int worker) const {
@@ -582,16 +520,15 @@ DurationNs HostSched::QuantumFor(int worker) const {
   if (lock_free_) {
     return lf_[static_cast<std::size_t>(worker)]->quantum.load(std::memory_order_relaxed);
   }
-  Shard* shard = ShardOf(worker);
-  std::lock_guard<std::mutex> lock(shard->mu);
-  return shard->policy->QuantumFor(worker - shard->base);
+  std::lock_guard<std::mutex> lock(shard_->mu);
+  return shard_->policy->QuantumFor(worker);
 }
 
 const char* HostSched::PolicyName() const {
   if (lock_free_) {
     return lf_policy_->Name();
   }
-  return shards_.front()->policy->Name();
+  return shard_->policy->Name();
 }
 
 }  // namespace skyloft

@@ -46,7 +46,7 @@ constexpr unsigned kBufEntries = 1024;
 constexpr std::size_t kBufSize = 2048;
 // Registered-file table size; connections past it use raw fds.
 constexpr int kFixedFileSlots = 4096;
-// Iovecs, so frames, folded into one stream send.
+// Iovecs, so queued sends, folded into one stream send.
 constexpr int kMaxSendIovs = 16;
 
 // Every engine registers its provided-buffer ring under one group id; rings
@@ -120,7 +120,7 @@ struct IoEngine::UringState {
   unsigned cq_mask = 0;
   io_uring_cqe* cqes = nullptr;
   // SQE production is multi-producer (Deregister and the completion path's
-  // SendEnqueue run on whatever worker the handler uthread was stolen to);
+  // Send run on whatever worker the handler uthread was stolen to);
   // short spinlock.
   std::atomic_flag sqe_spin = ATOMIC_FLAG_INIT;
   // Mutated under sqe_spin; atomic so UringPoll's flush heuristic can read it
@@ -165,20 +165,23 @@ struct IoRecvSeg {
   std::uint16_t bid = 0;
 };
 
-// Per-handle completion state. The queues are filled by the home engine's
-// reaping and drained by the handler uthread from whichever worker stole it;
-// q_spin (lock class io_handle_q) guards them. Single-writer send contract:
-// only the one handler uthread enqueues, so tx ordering needs no further
-// synchronization beyond the spinlock.
-struct IoCompletionState {
+// Per-handle queues of a kStream/kListener/kDatagram handle. On io_uring the
+// home engine's reaping fills rx/accepted and the handler uthread drains
+// them from whichever worker stole it; on epoll only tx is used, holding
+// what a Send could not write, which the home engine's Poll writes on
+// EPOLLOUT. q_spin (lock class io_handle_q) guards the queues. Single-writer
+// send contract: only the one handler uthread enqueues, so tx ordering
+// needs no further synchronization beyond the spinlock.
+struct IoQueues {
   int fixed_slot = -1;  // registered-file table index; -1 = raw fd
   std::atomic_flag q_spin = ATOMIC_FLAG_INIT;
   std::deque<IoRecvSeg> rx;
+  std::size_t rx_off = 0;  // bytes of rx.front() already copied out by Recv
   std::deque<int> accepted;
   // Send queue. tx_off = bytes of tx.front() already sent; tx_bytes = total
-  // unsent bytes. While tx_inflight, tx_iov/tx_msg describe the submitted
-  // batch and the referenced front frames must not be popped (only the send
-  // CQE pops, under q_spin, before any re-arm).
+  // unsent bytes. While tx_inflight (io_uring), tx_iov/tx_msg describe the
+  // submitted batch and the referenced front entries must not be popped
+  // (only the send CQE pops, under q_spin, before any re-arm).
   std::deque<std::string> tx;
   std::size_t tx_off = 0;
   std::size_t tx_bytes = 0;
@@ -190,16 +193,74 @@ struct IoCompletionState {
   msghdr rx_msg{};
 };
 
-void IoEngine::QLock(IoCompletionState* cs) {
+namespace {
+
+// Points `iov` at the queued sends, the front one past its sent prefix.
+// Returns the iovec count (0 for an empty queue).
+int FillSendIovs(const IoQueues& q, iovec* iov) {
+  int niov = 0;
+  std::size_t skip = q.tx_off;
+  for (const std::string& bytes : q.tx) {
+    if (niov >= kMaxSendIovs) {
+      break;
+    }
+    iov[niov].iov_base = const_cast<char*>(bytes.data()) + skip;
+    iov[niov].iov_len = bytes.size() - skip;
+    skip = 0;  // only the front entry carries an offset
+    niov++;
+  }
+  return niov;
+}
+
+// Drops `sent` bytes from the front of the send queue.
+void ConsumeSent(IoQueues* q, std::size_t sent) {
+  q->tx_bytes -= std::min(sent, q->tx_bytes);
+  std::size_t consumed = q->tx_off + sent;
+  while (!q->tx.empty() && consumed >= q->tx.front().size()) {
+    consumed -= q->tx.front().size();
+    q->tx.pop_front();
+  }
+  q->tx_off = consumed;
+}
+
+void DropSends(IoQueues* q) {
+  q->tx.clear();
+  q->tx_off = 0;
+  q->tx_bytes = 0;
+  q->tx_inflight = false;
+}
+
+// Decodes one multishot RECVMSG buffer: the kernel packs
+// [io_uring_recvmsg_out][name area][control area][payload] into it, and the
+// armed msghdr reserved sizeof(sockaddr_in) of name space and no control
+// space. False when the datagram or its sender address did not fit.
+bool ParseDatagram(const char* buf, std::uint32_t len, sockaddr_in* peer, const char** payload,
+                   std::uint32_t* payload_len) {
+  const auto* hdr = reinterpret_cast<const io_uring_recvmsg_out*>(buf);
+  if (len < sizeof(*hdr)) {
+    return false;
+  }
+  const std::size_t payload_off = sizeof(*hdr) + sizeof(sockaddr_in);
+  if (len < payload_off || len - payload_off < hdr->payloadlen ||
+      hdr->namelen < sizeof(sockaddr_in)) {
+    return false;
+  }
+  std::memcpy(peer, buf + sizeof(*hdr), sizeof(*peer));
+  *payload = buf + payload_off;
+  *payload_len = hdr->payloadlen;
+  return true;
+}
+
+}  // namespace
+
+void IoEngine::QLock(IoQueues* q) {
   SpinBackoff backoff;
-  while (cs->q_spin.test_and_set(std::memory_order_acquire)) {
+  while (q->q_spin.test_and_set(std::memory_order_acquire)) {
     backoff.Pause();
   }
 }
 
-void IoEngine::QUnlock(IoCompletionState* cs) {
-  cs->q_spin.clear(std::memory_order_release);
-}
+void IoEngine::QUnlock(IoQueues* q) { q->q_spin.clear(std::memory_order_release); }
 
 void IoEngine::BufLock(UringState* s) {
   SpinBackoff backoff;
@@ -397,14 +458,13 @@ bool IoEngine::ArmEpollBridge() {
   return sqe != nullptr;
 }
 
-// Retires one expected CQE (or Deregister's queueing reference). Whoever
-// drops the count to zero after the handle was closed owns the free; until
-// then some op or cancel completion may still reference the handle. Must
-// be the caller's LAST touch of the handle.
+// Retires one expected CQE (or the open reference Deregister drops). Whoever
+// drops the count to zero owns the free — which the open reference defers
+// until after Deregister; until then some op or cancel completion may still
+// reference the handle. Must be the caller's LAST touch of the handle.
 void IoEngine::UringFinishCqe(IoHandle* handle) {
-  if (handle->pending_cqes.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-      handle->closed.load(std::memory_order_acquire)) {
-    FreeCompletionResources(handle);
+  if (handle->pending_cqes.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    FreeQueues(handle);
     UntrackHandle(handle);
     delete handle;
   }
@@ -559,13 +619,13 @@ void IoEngine::ReleaseFixedSlot(int slot) {
 
 bool IoEngine::ArmMainOp(IoHandle* handle) {
   UringState* s = uring_;
-  IoCompletionState* cs = handle->cs;
-  SKYLOFT_CHECK(cs != nullptr) << "ArmMainOp on a readiness handle";
+  IoQueues* q = handle->queues;
+  SKYLOFT_CHECK(q != nullptr) << "ArmMainOp on a readiness handle";
   SqLock(s);
   auto* sqe = static_cast<io_uring_sqe*>(SqePrepareLocked());
   if (sqe != nullptr) {
-    const bool fixed = cs->fixed_slot >= 0;
-    sqe->fd = fixed ? cs->fixed_slot : handle->fd;
+    const bool fixed = q->fixed_slot >= 0;
+    sqe->fd = fixed ? q->fixed_slot : handle->fd;
     if (fixed) {
       sqe->flags |= IOSQE_FIXED_FILE;
     }
@@ -582,7 +642,7 @@ bool IoEngine::ArmMainOp(IoHandle* handle) {
         sqe->ioprio = IORING_RECV_MULTISHOT;
         sqe->flags |= IOSQE_BUFFER_SELECT;
         sqe->buf_group = kBufGroup;
-        sqe->addr = reinterpret_cast<std::uintptr_t>(&cs->rx_msg);
+        sqe->addr = reinterpret_cast<std::uintptr_t>(&q->rx_msg);
         sqe->user_data = reinterpret_cast<std::uintptr_t>(handle) | kTagRecv;
         break;
       case IoRegisterMode::kListener:
@@ -600,42 +660,32 @@ bool IoEngine::ArmMainOp(IoHandle* handle) {
   return sqe != nullptr;
 }
 
-// Arms the next SEND/SENDMSG for the queued front frames. Caller holds the
+// Arms the next SEND/SENDMSG for the queued front entries. Caller holds the
 // handle's queue lock; nests the SQ lock inside it (lock order
 // io_handle_q -> uring_sq, everywhere). MSG_NOSIGNAL keeps a reset peer from
 // raising SIGPIPE out of the kernel's async context.
 bool IoEngine::ArmSendLocked(IoHandle* handle) {
-  IoCompletionState* cs = handle->cs;
-  int niov = 0;
-  std::size_t skip = cs->tx_off;
-  for (const std::string& frame : cs->tx) {
-    if (niov >= kMaxSendIovs) {
-      break;
-    }
-    cs->tx_iov[niov].iov_base = const_cast<char*>(frame.data()) + skip;
-    cs->tx_iov[niov].iov_len = frame.size() - skip;
-    skip = 0;  // only the front frame carries an offset
-    niov++;
-  }
+  IoQueues* q = handle->queues;
+  const int niov = FillSendIovs(*q, q->tx_iov);
   SKYLOFT_CHECK(niov > 0) << "ArmSendLocked with an empty send queue";
   UringState* s = uring_;
   SqLock(s);
   auto* sqe = static_cast<io_uring_sqe*>(SqePrepareLocked());
   if (sqe != nullptr) {
-    const bool fixed = cs->fixed_slot >= 0;
-    sqe->fd = fixed ? cs->fixed_slot : handle->fd;
+    const bool fixed = q->fixed_slot >= 0;
+    sqe->fd = fixed ? q->fixed_slot : handle->fd;
     if (fixed) {
       sqe->flags |= IOSQE_FIXED_FILE;
     }
     if (niov == 1) {
       sqe->opcode = IORING_OP_SEND;
-      sqe->addr = reinterpret_cast<std::uintptr_t>(cs->tx_iov[0].iov_base);
-      sqe->len = static_cast<std::uint32_t>(cs->tx_iov[0].iov_len);
+      sqe->addr = reinterpret_cast<std::uintptr_t>(q->tx_iov[0].iov_base);
+      sqe->len = static_cast<std::uint32_t>(q->tx_iov[0].iov_len);
     } else {
       sqe->opcode = IORING_OP_SENDMSG;
-      cs->tx_msg.msg_iov = cs->tx_iov;
-      cs->tx_msg.msg_iovlen = static_cast<std::size_t>(niov);
-      sqe->addr = reinterpret_cast<std::uintptr_t>(&cs->tx_msg);
+      q->tx_msg.msg_iov = q->tx_iov;
+      q->tx_msg.msg_iovlen = static_cast<std::size_t>(niov);
+      sqe->addr = reinterpret_cast<std::uintptr_t>(&q->tx_msg);
     }
     sqe->msg_flags = MSG_NOSIGNAL;
     sqe->user_data = reinterpret_cast<std::uintptr_t>(handle) | kTagSend;
@@ -762,10 +812,10 @@ void IoEngine::HandleRecvCqe(IoHandle* handle, std::int32_t res, std::uint32_t f
     return;
   }
   if (has_buf) {
-    IoCompletionState* cs = handle->cs;
-    QLock(cs);
-    cs->rx.push_back(IoRecvSeg{static_cast<std::uint32_t>(res), bid});
-    QUnlock(cs);
+    IoQueues* q = handle->queues;
+    QLock(q);
+    q->rx.push_back(IoRecvSeg{static_cast<std::uint32_t>(res), bid});
+    QUnlock(q);
     IncLane(stats_.recv_segments, worker_);
     DeliverReady(handle, kIoReadable);
   }
@@ -803,10 +853,10 @@ void IoEngine::HandleAcceptCqe(IoHandle* handle, std::int32_t res, std::uint32_t
     StallHandle(handle);
     return;
   }
-  IoCompletionState* cs = handle->cs;
-  QLock(cs);
-  cs->accepted.push_back(res);
-  QUnlock(cs);
+  IoQueues* q = handle->queues;
+  QLock(q);
+  q->accepted.push_back(res);
+  QUnlock(q);
   IncLane(stats_.completion_accepts, worker_);
   DeliverReady(handle, kIoReadable);
   if (!more) {
@@ -819,43 +869,30 @@ void IoEngine::HandleAcceptCqe(IoHandle* handle, std::int32_t res, std::uint32_t
 }
 
 void IoEngine::HandleSendCqe(IoHandle* handle, std::int32_t res) {
-  IoCompletionState* cs = handle->cs;
+  IoQueues* q = handle->queues;
   unsigned latch = 0;
   bool finished = true;  // this CQE retires the in-flight send unless re-armed
-  QLock(cs);
+  QLock(q);
   if (res < 0) {
     // EPIPE/ECONNRESET and friends: the connection is done writing; drop the
     // queue so teardown doesn't wait on bytes that can never leave.
-    cs->tx.clear();
-    cs->tx_off = 0;
-    cs->tx_bytes = 0;
-    cs->tx_inflight = false;
+    DropSends(q);
     latch = kIoError;
   } else {
-    const auto sent = static_cast<std::size_t>(res);
-    cs->tx_bytes -= std::min(sent, cs->tx_bytes);
-    std::size_t consumed = cs->tx_off + sent;
-    while (!cs->tx.empty() && consumed >= cs->tx.front().size()) {
-      consumed -= cs->tx.front().size();
-      cs->tx.pop_front();
-    }
-    cs->tx_off = consumed;
-    if (cs->tx.empty()) {
-      cs->tx_inflight = false;
+    ConsumeSent(q, static_cast<std::size_t>(res));
+    if (q->tx.empty()) {
+      q->tx_inflight = false;
       latch = kIoWritable;  // drained: wake a backpressured writer
     } else if (handle->closed.load(std::memory_order_acquire)) {
-      cs->tx.clear();
-      cs->tx_off = 0;
-      cs->tx_bytes = 0;
-      cs->tx_inflight = false;
+      DropSends(q);
     } else if (ArmSendLocked(handle)) {
       finished = false;  // short send: continuation keeps the expected CQE
     } else {
-      cs->tx_inflight = false;
+      q->tx_inflight = false;
       latch = kIoError;
     }
   }
-  QUnlock(cs);
+  QUnlock(q);
   if (latch != 0) {
     DeliverReady(handle, latch);  // no-op on closed handles
   }
@@ -864,30 +901,7 @@ void IoEngine::HandleSendCqe(IoHandle* handle, std::int32_t res) {
   }
 }
 
-bool IoEngine::PopRecv(IoHandle* handle, IoRecvSlice* slice) {
-  Runtime::PreemptGuard guard;  // takes engine spinlocks (see io_engine.h)
-  IoCompletionState* cs = handle->cs;
-  if (cs == nullptr) {
-    return false;
-  }
-  IoRecvSeg seg;
-  QLock(cs);
-  if (cs->rx.empty()) {
-    QUnlock(cs);
-    return false;
-  }
-  seg = cs->rx.front();
-  cs->rx.pop_front();
-  QUnlock(cs);
-  UringState* s = uring_;
-  slice->data = s->buf_arena.get() + static_cast<std::size_t>(seg.bid) * kBufSize;
-  slice->len = seg.len;
-  slice->buf_id = seg.bid;
-  return true;
-}
-
 void IoEngine::RecycleBuffer(std::uint16_t buf_id) {
-  Runtime::PreemptGuard guard;  // takes engine spinlocks (see io_engine.h)
   UringState* s = uring_;
   BufLock(s);
   const std::uint16_t tail = s->buf_tail;
@@ -902,101 +916,255 @@ void IoEngine::RecycleBuffer(std::uint16_t buf_id) {
   s->buf_recycled.fetch_add(1, std::memory_order_release);
 }
 
-int IoEngine::TakeAccepted(IoHandle* handle) {
-  Runtime::PreemptGuard guard;  // takes engine spinlocks (see io_engine.h)
-  IoCompletionState* cs = handle->cs;
-  if (cs == nullptr) {
-    return -1;
+// Queues `bytes` on a completion handle's send queue and arms a send if none
+// is in flight (short sends re-arm from the CQE until drained).
+bool IoEngine::EnqueueSendLocked(IoHandle* handle, std::string_view bytes) {
+  IoQueues* q = handle->queues;
+  q->tx_bytes += bytes.size();
+  q->tx.emplace_back(bytes);
+  if (q->tx_inflight) {
+    return true;
   }
-  int fd = -1;
-  QLock(cs);
-  if (!cs->accepted.empty()) {
-    fd = cs->accepted.front();
-    cs->accepted.pop_front();
+  // Count the send's expected CQE before the kernel can post it (the open
+  // reference keeps the count above zero meanwhile).
+  handle->pending_cqes.fetch_add(1, std::memory_order_acq_rel);
+  if (ArmSendLocked(handle)) {
+    q->tx_inflight = true;
+    return true;
   }
-  QUnlock(cs);
-  return fd;
+  handle->pending_cqes.fetch_sub(1, std::memory_order_acq_rel);
+  DropSends(q);
+  return false;
 }
 
-std::size_t IoEngine::SendEnqueue(IoHandle* handle, std::string frame) {
-  Runtime::PreemptGuard guard;  // takes engine spinlocks (see io_engine.h)
-  IoCompletionState* cs = handle->cs;
-  SKYLOFT_CHECK(cs != nullptr) << "SendEnqueue on a readiness handle";
-  if (frame.empty()) {
-    return SendQueuedBytes(handle);
+unsigned IoEngine::WriteQueuedLocked(IoHandle* handle) {
+  IoQueues* q = handle->queues;
+  while (!q->tx.empty()) {
+    iovec iov[kMaxSendIovs];
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<std::size_t>(FillSendIovs(*q, iov));
+    // skylint:allow(blocking-call-on-worker) -- Register made the fd nonblocking
+    const ssize_t n = sendmsg(handle->fd, &msg, MSG_NOSIGNAL);
+    IncLane(stats_.sys_write, worker_);
+    if (n >= 0) {
+      ConsumeSent(q, static_cast<std::size_t>(n));
+    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      return 0;  // the next EPOLLOUT edge resumes the flush
+    } else if (errno != EINTR) {
+      DropSends(q);  // EPIPE / ECONNRESET: these bytes can never leave
+      return kIoError;
+    }
   }
-  bool arm_failed = false;
-  std::size_t queued = 0;
-  QLock(cs);
-  if (!handle->closed.load(std::memory_order_acquire)) {
-    cs->tx_bytes += frame.size();
-    queued = cs->tx_bytes;
-    cs->tx.push_back(std::move(frame));
-    if (!cs->tx_inflight) {
-      // Count the send's expected CQE before the kernel can post it. The
-      // handle cannot race to its free point here: it is not closed and we
-      // are its (single) writer.
-      handle->pending_cqes.fetch_add(1, std::memory_order_acq_rel);
-      if (ArmSendLocked(handle)) {
-        cs->tx_inflight = true;
-      } else {
-        handle->pending_cqes.fetch_sub(1, std::memory_order_acq_rel);
-        cs->tx.clear();
-        cs->tx_off = 0;
-        cs->tx_bytes = 0;
-        arm_failed = true;
-        queued = 0;
+  return kIoWritable;
+}
+
+std::ptrdiff_t IoEngine::Recv(IoHandle* handle, char* buf, std::size_t cap) {
+  if (!Completion(handle)) {
+    while (true) {
+      // skylint:allow(blocking-call-on-worker) -- Register made the fd nonblocking
+      const ssize_t n = read(handle->fd, buf, cap);
+      IncLane(stats_.sys_read, worker_);
+      if (n > 0) {
+        return n;
+      }
+      if (n == 0) {
+        // A failed send may already have taken the socket's error, leaving
+        // only the EOF behind it; the latched error still says "reset".
+        return (handle->ready.load(std::memory_order_acquire) & kIoError) != 0 ? kIoReset
+                                                                              : kIoEof;
+      }
+      if (errno != EINTR) {
+        return errno == EAGAIN || errno == EWOULDBLOCK ? kIoAgain : kIoReset;
       }
     }
   }
-  QUnlock(cs);
-  if (arm_failed) {
-    // No send monitoring means the writer could wait forever; latch an error
-    // so it wakes and fails the connection instead.
-    DeliverReady(handle, kIoError);
+  Runtime::PreemptGuard guard;  // takes engine spinlocks (see io_engine.h)
+  // Latches first: the home engine queues a stream's last segments before it
+  // latches the EOF or error behind them, so a latch seen here means an
+  // empty queue below really is the end.
+  const unsigned ready = handle->ready.load(std::memory_order_acquire);
+  IoQueues* q = handle->queues;
+  const char* arena = uring_->buf_arena.get();
+  std::size_t copied = 0;
+  QLock(q);
+  while (copied < cap && !q->rx.empty()) {
+    const IoRecvSeg seg = q->rx.front();
+    const std::size_t take = std::min<std::size_t>(seg.len - q->rx_off, cap - copied);
+    std::memcpy(buf + copied, arena + seg.bid * kBufSize + q->rx_off, take);
+    copied += take;
+    q->rx_off += take;
+    if (q->rx_off == seg.len) {
+      q->rx.pop_front();
+      q->rx_off = 0;
+      RecycleBuffer(seg.bid);
+    }
   }
-  return queued;
+  QUnlock(q);
+  if (copied > 0) {
+    return static_cast<std::ptrdiff_t>(copied);
+  }
+  if ((ready & kIoError) != 0) {
+    return kIoReset;
+  }
+  return (ready & kIoHup) != 0 ? kIoEof : kIoAgain;
+}
+
+std::ptrdiff_t IoEngine::Send(IoHandle* handle, std::string_view bytes) {
+  Runtime::PreemptGuard guard;  // takes engine spinlocks (see io_engine.h)
+  IoQueues* q = handle->queues;
+  bool ok = true;
+  // The queue lock is held across the epoll send too: a Poll that flushes
+  // on EPOLLOUT then either ran before this send (whose own EAGAIN arms the
+  // next edge) or sees the remainder queued below.
+  QLock(q);
+  if (handle->closed.load(std::memory_order_acquire) ||
+      (handle->ready.load(std::memory_order_acquire) & kIoError) != 0) {
+    ok = false;  // the connection already failed: drop the bytes
+  } else if (Completion(handle)) {
+    ok = EnqueueSendLocked(handle, bytes);
+  } else if (!q->tx.empty()) {
+    q->tx_bytes += bytes.size();  // behind an unsent remainder, in order
+    q->tx.emplace_back(bytes);
+  } else {
+    // The common case: the socket takes the batch whole, with no copy.
+    std::size_t off = 0;
+    while (ok && off < bytes.size()) {
+      // skylint:allow(blocking-call-on-worker) -- Register made the fd nonblocking
+      const ssize_t n = send(handle->fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+      IncLane(stats_.sys_write, worker_);
+      if (n >= 0) {
+        off += static_cast<std::size_t>(n);
+      } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        q->tx_bytes += bytes.size() - off;
+        q->tx.emplace_back(bytes.substr(off));
+        break;
+      } else if (errno != EINTR) {
+        ok = false;  // EPIPE / ECONNRESET: the peer is gone
+      }
+    }
+  }
+  const std::size_t queued = q->tx_bytes;
+  QUnlock(q);
+  if (!ok) {
+    // No send is left to finish, so a writer could wait forever; latch an
+    // error so the handler fails the connection instead.
+    DeliverReady(handle, kIoError);
+    return kIoReset;
+  }
+  return static_cast<std::ptrdiff_t>(queued);
 }
 
 std::size_t IoEngine::SendQueuedBytes(IoHandle* handle) {
   Runtime::PreemptGuard guard;  // takes engine spinlocks (see io_engine.h)
-  IoCompletionState* cs = handle->cs;
-  if (cs == nullptr) {
-    return 0;
-  }
-  QLock(cs);
-  const std::size_t n = cs->tx_bytes;
-  QUnlock(cs);
+  IoQueues* q = handle->queues;
+  QLock(q);
+  const std::size_t n = q->tx_bytes;
+  QUnlock(q);
   return n;
 }
 
-bool IoEngine::SendDatagram(IoHandle* handle, const sockaddr_in& to, std::string frame) {
+int IoEngine::Accept(IoHandle* handle) {
+  if (!Completion(handle)) {
+    while (true) {
+      // skylint:allow(blocking-call-on-worker) -- Register made the fd nonblocking
+      const int fd = accept4(handle->fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+      IncLane(stats_.sys_accept, worker_);
+      // EAGAIN: the backlog is drained. Other errors: the next edge retries.
+      if (fd >= 0 || errno != EINTR) {
+        return fd;
+      }
+    }
+  }
   Runtime::PreemptGuard guard;  // takes engine spinlocks (see io_engine.h)
-  IoCompletionState* cs = handle->cs;
-  SKYLOFT_CHECK(cs != nullptr) << "SendDatagram on a readiness handle";
+  IoQueues* q = handle->queues;
+  int fd = -1;
+  QLock(q);
+  if (!q->accepted.empty()) {
+    fd = q->accepted.front();
+    q->accepted.pop_front();
+  }
+  QUnlock(q);
+  return fd;
+}
+
+std::ptrdiff_t IoEngine::RecvFrom(IoHandle* handle, char* buf, std::size_t cap,
+                                  sockaddr_in* peer) {
+  if (!Completion(handle)) {
+    while (true) {
+      socklen_t peer_len = sizeof(*peer);
+      // skylint:allow(blocking-call-on-worker) -- Register made the fd nonblocking
+      const ssize_t n = recvfrom(handle->fd, buf, cap, 0, reinterpret_cast<sockaddr*>(peer),
+                                 &peer_len);
+      IncLane(stats_.sys_read, worker_);
+      if (n >= 0 || errno != EINTR) {
+        return n >= 0 ? n : kIoAgain;  // EAGAIN: drained
+      }
+    }
+  }
+  Runtime::PreemptGuard guard;  // takes engine spinlocks (see io_engine.h)
+  IoQueues* q = handle->queues;
+  bool popped = false;
+  IoRecvSeg seg;
+  QLock(q);
+  if (!q->rx.empty()) {
+    seg = q->rx.front();
+    q->rx.pop_front();
+    popped = true;
+  }
+  QUnlock(q);
+  if (!popped) {
+    return kIoAgain;
+  }
+  const char* payload = nullptr;
+  std::uint32_t len = 0;
+  if (!ParseDatagram(uring_->buf_arena.get() + seg.bid * kBufSize, seg.len, peer, &payload,
+                     &len)) {
+    len = 0;  // did not fit the provided buffer: read as an empty datagram
+    *peer = sockaddr_in{};
+  }
+  const std::size_t n = std::min<std::size_t>(len, cap);
+  if (n > 0) {
+    std::memcpy(buf, payload, n);
+  }
+  RecycleBuffer(seg.bid);
+  return static_cast<std::ptrdiff_t>(n);
+}
+
+bool IoEngine::SendTo(IoHandle* handle, const sockaddr_in& peer, std::string_view bytes) {
+  if (!Completion(handle)) {
+    // skylint:allow(blocking-call-on-worker) -- Register made the fd nonblocking
+    const ssize_t n = sendto(handle->fd, bytes.data(), bytes.size(), MSG_NOSIGNAL,
+                             reinterpret_cast<const sockaddr*>(&peer), sizeof(peer));
+    IncLane(stats_.sys_write, worker_);
+    return n >= 0;
+  }
+  // A fire-and-forget async SENDMSG; the op owns a copy of the payload until
+  // its CQE.
+  Runtime::PreemptGuard guard;  // takes engine spinlocks (see io_engine.h)
+  IoQueues* q = handle->queues;
   if (handle->closed.load(std::memory_order_acquire)) {
     return false;
   }
   auto* op = new DgramSendOp;
   op->handle = handle;
-  op->to = to;
-  op->payload = std::move(frame);
+  op->to = peer;
+  op->payload.assign(bytes);
   op->iov.iov_base = const_cast<char*>(op->payload.data());
   op->iov.iov_len = op->payload.size();
   op->msg.msg_name = &op->to;
   op->msg.msg_namelen = sizeof(op->to);
   op->msg.msg_iov = &op->iov;
   op->msg.msg_iovlen = 1;
-  // The caller is the handle's serving uthread, so no concurrent Deregister
-  // can race this expected-CQE count (same single-owner argument as
-  // SendEnqueue).
+  // Counted before the kernel can post the CQE; the open reference keeps
+  // the count above zero meanwhile.
   handle->pending_cqes.fetch_add(1, std::memory_order_acq_rel);
   UringState* s = uring_;
   SqLock(s);
   auto* sqe = static_cast<io_uring_sqe*>(SqePrepareLocked());
   if (sqe != nullptr) {
-    const bool fixed = cs->fixed_slot >= 0;
-    sqe->fd = fixed ? cs->fixed_slot : handle->fd;
+    const bool fixed = q->fixed_slot >= 0;
+    sqe->fd = fixed ? q->fixed_slot : handle->fd;
     if (fixed) {
       sqe->flags |= IOSQE_FIXED_FILE;
     }
@@ -1016,46 +1184,25 @@ bool IoEngine::SendDatagram(IoHandle* handle, const sockaddr_in& to, std::string
   return true;
 }
 
-bool IoEngine::ParseDatagram(const IoRecvSlice& slice, IoDatagram* out) {
-  // Multishot RECVMSG packs [io_uring_recvmsg_out][name area][control area]
-  // [payload] into the provided buffer; the armed msghdr reserved
-  // sizeof(sockaddr_in) of name space and no control space.
-  const auto* hdr = reinterpret_cast<const io_uring_recvmsg_out*>(slice.data);
-  if (slice.len < sizeof(*hdr)) {
-    return false;
-  }
-  const std::size_t payload_off = sizeof(*hdr) + sizeof(sockaddr_in);
-  if (slice.len < payload_off || slice.len - payload_off < hdr->payloadlen) {
-    return false;  // truncated (datagram or sender address didn't fit)
-  }
-  if (hdr->namelen < sizeof(sockaddr_in)) {
-    return false;
-  }
-  std::memcpy(&out->peer, slice.data + sizeof(*hdr), sizeof(out->peer));
-  out->data = slice.data + payload_off;
-  out->len = hdr->payloadlen;
-  return true;
-}
-
-void IoEngine::FreeCompletionResources(IoHandle* handle) {
-  IoCompletionState* cs = handle->cs;
-  if (cs == nullptr) {
+void IoEngine::FreeQueues(IoHandle* handle) {
+  IoQueues* q = handle->queues;
+  if (q == nullptr) {
     return;
   }
   // The free point: no op references the handle any more, so queued-but-
   // unconsumed resources return to their owners — buffers to the ring,
   // never-taken accepted fds to the kernel.
-  for (const IoRecvSeg& seg : cs->rx) {
+  for (const IoRecvSeg& seg : q->rx) {
     RecycleBuffer(seg.bid);
   }
-  for (const int fd : cs->accepted) {
+  for (const int fd : q->accepted) {
     close(fd);
   }
-  if (cs->fixed_slot >= 0) {
-    ReleaseFixedSlot(cs->fixed_slot);
+  if (q->fixed_slot >= 0) {
+    ReleaseFixedSlot(q->fixed_slot);
   }
-  delete cs;
-  handle->cs = nullptr;
+  delete q;
+  handle->queues = nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -1084,7 +1231,7 @@ IoEngine::~IoEngine() {
     if (!handle->closed.load(std::memory_order_relaxed)) {
       close(handle->fd);
     }
-    FreeCompletionResources(handle);
+    FreeQueues(handle);
     delete handle;
   }
   handles_.clear();
@@ -1130,21 +1277,25 @@ IoHandle* IoEngine::Register(int fd, IoRegisterMode mode) {
   auto* handle = new IoHandle;
   handle->fd = fd;
   handle->engine = this;
-  if (completion() && mode != IoRegisterMode::kReadiness) {
-    handle->mode = mode;
-    auto* cs = new IoCompletionState;
+  handle->mode = mode;
+  if (mode != IoRegisterMode::kReadiness) {
+    handle->queues = new IoQueues;
+  }
+  if (Completion(handle)) {
+    IoQueues* q = handle->queues;
     if (mode == IoRegisterMode::kDatagram) {
-      cs->rx_msg.msg_namelen = sizeof(sockaddr_in);
+      q->rx_msg.msg_namelen = sizeof(sockaddr_in);
     }
-    cs->fixed_slot = AllocFixedSlot(fd);
-    handle->cs = cs;
+    q->fixed_slot = AllocFixedSlot(fd);
     // Pre-publication: count the main op's expected terminal CQE before
-    // the kernel can post it. The SQE rides the next poll round's batched
-    // submit.
+    // the kernel can post it, plus the open reference Deregister drops (the
+    // count must not reach zero while the handle is open: a completion
+    // reaped just before Deregister begins would otherwise free it under
+    // Deregister). The SQE rides the next poll round's batched submit.
     handle->main_op_armed.store(true, std::memory_order_relaxed);
-    handle->pending_cqes.store(1, std::memory_order_relaxed);
+    handle->pending_cqes.store(2, std::memory_order_relaxed);
     if (!ArmMainOp(handle)) {
-      FreeCompletionResources(handle);
+      FreeQueues(handle);
       delete handle;
       return nullptr;
     }
@@ -1153,6 +1304,7 @@ IoHandle* IoEngine::Register(int fd, IoRegisterMode mode) {
     ev.events = EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET;
     ev.data.ptr = handle;
     if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+      FreeQueues(handle);
       delete handle;
       return nullptr;
     }
@@ -1165,13 +1317,11 @@ IoHandle* IoEngine::Register(int fd, IoRegisterMode mode) {
 void IoEngine::Deregister(IoHandle* handle) {
   Runtime::PreemptGuard guard;  // takes engine spinlocks (see io_engine.h)
   SKYLOFT_CHECK(handle != nullptr && handle->engine == this);
-  if (handle->cs != nullptr) {
-    // Take a queueing reference BEFORE publishing closed: once closed is
-    // visible, a concurrent reaper dropping pending_cqes to zero frees the
-    // handle, and this function is still using it below. seq_cst pairs with
-    // RearmStalled's armed-store/closed-recheck so the two can never both
-    // miss each other (a stalled handle re-armed with no cancel queued).
-    handle->pending_cqes.fetch_add(1, std::memory_order_acq_rel);
+  if (Completion(handle)) {
+    // The open reference keeps the handle alive until the end of this
+    // function. seq_cst pairs with RearmStalled's armed-store/closed-recheck
+    // so the two can never both miss each other (a stalled handle re-armed
+    // with no cancel queued).
     const bool was_closed = handle->closed.exchange(true, std::memory_order_seq_cst);
     SKYLOFT_CHECK(!was_closed) << "double Deregister of fd " << handle->fd;
     // Cancel every outstanding op — the multishot main op and an in-flight
@@ -1191,10 +1341,20 @@ void IoEngine::Deregister(IoHandle* handle) {
     QueueCancel(handle, kTagSend);
     close(handle->fd);
     IncLane(stats_.retired, worker_);
-    UringFinishCqe(handle);  // drop the queueing reference; may free
+    UringFinishCqe(handle);  // drop the open reference; may free
     return;
   }
-  const bool was_closed = handle->closed.exchange(true, std::memory_order_acq_rel);
+  bool was_closed;
+  if (handle->queues != nullptr) {
+    // Under the queue lock: Poll's send-queue flush writes only while the
+    // handle is open, so it can never reach the fd number after the close
+    // below hands it to someone else.
+    QLock(handle->queues);
+    was_closed = handle->closed.exchange(true, std::memory_order_acq_rel);
+    QUnlock(handle->queues);
+  } else {
+    was_closed = handle->closed.exchange(true, std::memory_order_acq_rel);
+  }
   SKYLOFT_CHECK(!was_closed) << "double Deregister of fd " << handle->fd;
   epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, handle->fd, nullptr);
   close(handle->fd);
@@ -1212,6 +1372,7 @@ void IoEngine::Deregister(IoHandle* handle) {
 void IoEngine::FreeRetired() {
   for (IoHandle* handle : retire_graveyard_) {
     UntrackHandle(handle);
+    FreeQueues(handle);
     delete handle;
   }
   retire_graveyard_.clear();
@@ -1267,7 +1428,20 @@ int IoEngine::EpollPoll() {
       if (ev & EPOLLERR) {
         bits |= kIoError;
       }
-      DeliverReady(static_cast<IoHandle*>(events[i].data.ptr), bits);
+      auto* handle = static_cast<IoHandle*>(events[i].data.ptr);
+      if ((ev & EPOLLOUT) != 0 && handle->queues != nullptr) {
+        // A data handle is writable for its writer only once the engine has
+        // sent what Send left queued.
+        IoQueues* q = handle->queues;
+        unsigned flushed = kIoWritable;
+        QLock(q);
+        if (!handle->closed.load(std::memory_order_acquire)) {
+          flushed = WriteQueuedLocked(handle);
+        }
+        QUnlock(q);
+        bits = (bits & ~kIoWritable) | flushed;
+      }
+      DeliverReady(handle, bits);
     }
     // A full batch may have left events behind, and the epoll bridge of an
     // io_uring engine fires only on a new wakeup: drain to a short batch.
@@ -1331,13 +1505,13 @@ void IoEngine::DumpDebug(std::FILE* out) {
                  handle->pending_cqes.load(std::memory_order_acquire),
                  handle->reader.load(std::memory_order_acquire) != nullptr ? 1 : 0,
                  handle->writer.load(std::memory_order_acquire) != nullptr ? 1 : 0);
-    if (handle->cs != nullptr) {
-      IoCompletionState* cs = handle->cs;
-      QLock(cs);
+    if (handle->queues != nullptr) {
+      IoQueues* q = handle->queues;
+      QLock(q);
       std::fprintf(out, " rx=%zu acc=%zu tx=%zu tx_bytes=%zu tx_off=%zu inflight=%d",
-                   cs->rx.size(), cs->accepted.size(), cs->tx.size(), cs->tx_bytes,
-                   cs->tx_off, cs->tx_inflight ? 1 : 0);
-      QUnlock(cs);
+                   q->rx.size(), q->accepted.size(), q->tx.size(), q->tx_bytes, q->tx_off,
+                   q->tx_inflight ? 1 : 0);
+      QUnlock(q);
     }
     std::fprintf(out, "\n");
   }

@@ -11,52 +11,63 @@
 // the handler was stolen.
 //
 // Both backends are always compiled; IoEngineOptions::backend picks one per
-// engine at run time, and each backend has one job:
+// engine at run time. Callers see one data path either way:
 //
-//   - readiness (every kReadiness handle, on either backend): the fd sits in
-//     the engine's edge-triggered epoll set. A uthread that would block parks
+//   - kReadiness handles (pipes, anything the caller reads itself) sit in the
+//     engine's edge-triggered epoll set. A uthread that would block parks
 //     through WaitForReadable/WaitForWritable (src/runtime/sync.h) and the
 //     worker runs other uthreads until the engine latches readiness:
 //
 //       engine Poll():  ready.fetch_or(bits); wake parked reader/writer
 //       WaitForReadable: wait for the latch, consume it, caller then drains
-//                        the socket until EAGAIN (edge-triggered contract)
+//                        the fd until EAGAIN (edge-triggered contract)
 //
-//   - completion (kStream/kListener/kDatagram handles on a kIoUring engine):
-//     a multishot RECV/RECVMSG/ACCEPT stays armed and its completions carry
-//     the data itself — payload bytes land in engine-owned provided buffers
-//     (IORING_REGISTER_PBUF_RING), accepted fds and datagrams land in
-//     per-handle queues, and responses go out as engine-owned async
-//     SEND/SENDMSG submissions with short-send continuation. SQEs are
-//     batched, so a worker's steady state is ~0 syscalls per request. The
-//     same latch/park machinery signals the handler: kIoReadable means
-//     "segments (or fds) queued", kIoWritable means "send queue drained".
+//   - kStream/kListener/kDatagram handles are served through the engine's
+//     read()-shaped data calls: Recv/Send on a connection, Accept on a
+//     listener, RecvFrom/SendTo on a UDP socket. The caller waits with the
+//     same WaitFor* primitives and then calls until "nothing yet". What the
+//     calls do is the backend's business:
+//       epoll:    they make the syscall from the caller (read, send, accept4,
+//                 recvfrom, sendto) and count it in the sys_* lanes. A send
+//                 the socket cannot take whole leaves its remainder in the
+//                 handle's queue; the home engine's Poll writes it on
+//                 EPOLLOUT and latches kIoWritable once the queue is empty.
+//       io_uring: a multishot RECV/RECVMSG/ACCEPT stays armed and its
+//                 completions carry the data itself — payload bytes land in
+//                 engine-owned provided buffers (IORING_REGISTER_PBUF_RING)
+//                 that Recv/RecvFrom copy out of and recycle, accepted fds
+//                 and datagrams land in per-handle queues, and Send/SendTo
+//                 queue engine-owned async SEND/SENDMSG submissions with
+//                 short-send continuation. SQEs are batched, so a worker's
+//                 steady state is ~0 syscalls per request. kIoReadable means
+//                 "segments (or fds) queued", kIoWritable "send queue
+//                 drained".
 //
 // A kIoUring engine watches its epoll set with one multishot POLL_ADD on the
 // epoll fd, so readiness handles cost no syscall until one of them fires. A
 // kIoUring engine whose kernel fails the feature probe is an epoll engine
-// (counted in uring_fallbacks); completion-mode registers on an epoll engine
-// degrade to kReadiness.
+// (counted in uring_fallbacks) and serves the data calls with syscalls.
 //
-// Handle lifetime. Readiness handles: Deregister unlinks the fd from the
-// epoll set, closes it, and pushes the handle onto the engine's retire list;
-// the engine frees retired handles at the top of a later Poll, after any
-// in-flight event batch that might still reference them has been processed
-// (events on a closed handle are skipped via the `closed` flag). This lets a
-// handler uthread close its connection from whatever worker it was stolen to
-// while the home engine is mid-poll. Completion handles are completion-
-// counted instead: every armed op (recv, accept, send, cancel) owes one
-// terminal CQE, and the free point is the expected-CQE count reaching zero
-// after close.
+// Handle lifetime. Handles in the epoll set: Deregister unlinks the fd from
+// the epoll set, closes it, and pushes the handle onto the engine's retire
+// list; the engine frees retired handles at the top of a later Poll, after
+// any in-flight event batch that might still reference them has been
+// processed (events on a closed handle are skipped via the `closed` flag).
+// This lets a handler uthread close its connection from whatever worker it
+// was stolen to while the home engine is mid-poll. Completion handles are
+// completion-counted instead: every armed op (recv, accept, send, cancel)
+// owes one terminal CQE, the handle holds one more count while it is open,
+// and the free point is the count reaching zero.
 #ifndef SRC_RUNTIME_IO_ENGINE_H_
 #define SRC_RUNTIME_IO_ENGINE_H_
 
 #include <netinet/in.h>
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/base/compiler.h"
@@ -66,7 +77,7 @@ namespace skyloft {
 
 struct UThread;
 class IoEngine;
-struct IoCompletionState;
+struct IoQueues;
 
 // Readiness bits latched in IoHandle::ready. kIoHup/kIoError are sticky:
 // once the peer is gone the condition never clears, so waits return
@@ -78,36 +89,21 @@ enum IoReady : unsigned {
   kIoError = 1u << 3,
 };
 
-// What a Register()ed fd is, which selects the io_uring completion op kept
-// armed for it. kReadiness is the epoll contract (pipes, anything the caller
-// read()s itself); the other modes opt into the completion data path and
-// silently degrade to kReadiness on an epoll engine (check
-// IoEngine::completion()).
+// What a Register()ed fd is, which selects the data calls it is served
+// through (and, on a kIoUring engine, the completion op kept armed for it).
+// kReadiness is the plain epoll contract; the other modes hand the fd's data
+// path to the engine on both backends.
 enum class IoRegisterMode {
   kReadiness,  // readiness only; caller does its own read/write/accept
-  kStream,     // connected TCP: multishot RECV + engine-owned async sends
-  kListener,   // listening TCP: multishot ACCEPT into an fd queue
-  kDatagram,   // UDP: multishot RECVMSG (peer addr in-buffer) + SENDMSG out
+  kStream,     // connected TCP: Recv/Send/SendQueuedBytes
+  kListener,   // listening TCP: Accept
+  kDatagram,   // UDP: RecvFrom/SendTo
 };
 
-// One received completion segment: `data/len` point into the engine's
-// provided-buffer arena and stay valid until the consumer returns the buffer
-// with IoEngine::RecycleBuffer(buf_id). Consumers may be on any worker (a
-// stolen handler); recycling is thread-safe.
-struct IoRecvSlice {
-  const char* data = nullptr;
-  std::uint32_t len = 0;
-  std::uint16_t buf_id = 0;
-};
-
-// A decoded datagram completion (kDatagram handles): payload view into the
-// slice's provided buffer plus the sender address recovered from the
-// multishot RECVMSG header that the kernel packs in front of the payload.
-struct IoDatagram {
-  sockaddr_in peer{};
-  const char* data = nullptr;
-  std::uint32_t len = 0;
-};
+// Recv results besides a byte count, in read()'s shape: 0 is end of stream.
+inline constexpr std::ptrdiff_t kIoEof = 0;
+inline constexpr std::ptrdiff_t kIoAgain = -1;  // nothing yet: WaitForReadable, then retry
+inline constexpr std::ptrdiff_t kIoReset = -2;  // the connection failed (reset, send error)
 
 // One registered fd. Created by IoEngine::Register, destroyed by the engine
 // after Deregister. At most one waiting reader and one waiting writer at a
@@ -116,27 +112,27 @@ struct IoDatagram {
 struct alignas(kCacheLineSize) IoHandle {
   int fd = -1;
   IoEngine* engine = nullptr;
-  // Effective mode: what Register actually armed (a completion-mode request
-  // on an epoll engine records kReadiness here).
   IoRegisterMode mode = IoRegisterMode::kReadiness;
   std::atomic<unsigned> ready{0};
   std::atomic<UThread*> reader{nullptr};
   std::atomic<UThread*> writer{nullptr};
   std::atomic<bool> closed{false};
-  // Completion handles only. Whether the multishot main op (RECV, RECVMSG or
-  // ACCEPT depending on mode) is in flight, so Deregister knows to cancel it;
-  // and a count of terminal CQEs still expected (+1 per armed op, +1 per
-  // submitted cancel, +1 held by Deregister itself while it queues the
-  // cancels, +1 while parked on the engine's buffer-exhaustion stall list).
+  // Completion handles (data modes on a kIoUring engine) only. Whether the
+  // multishot main op (RECV, RECVMSG or ACCEPT depending on mode) is in
+  // flight, so Deregister knows to cancel it; and a count of terminal CQEs
+  // still expected (+1 per armed op, +1 per submitted cancel, +1 while
+  // parked on the engine's buffer-exhaustion stall list), plus one open
+  // reference held from Register until the end of Deregister.
   // The kernel does NOT order a cancelled op's CQE before its cancel's CQE
   // (task-work can post it later), so the free point is the count reaching
-  // zero after close, not any particular completion.
+  // zero, not any particular completion.
   std::atomic<bool> main_op_armed{false};
   std::atomic<int> pending_cqes{0};
   IoHandle* retire_next = nullptr;  // readiness retire list linkage
-  // Completion-mode state (recv/accept/send queues); null for kReadiness
-  // handles. Owned by the engine, freed with the handle.
-  IoCompletionState* cs = nullptr;
+  // The engine's receive, accept and send queues of a kStream/kListener/
+  // kDatagram handle; null for kReadiness handles. Owned by the engine,
+  // freed with the handle.
+  IoQueues* queues = nullptr;
 };
 
 // Counter lanes shared by every engine of one Runtime; `worker` indexes the
@@ -149,12 +145,12 @@ struct IoEngineStats {
   ShardedCounter* registered = nullptr;    // fds registered (lifetime total)
   ShardedCounter* retired = nullptr;       // fds deregistered
   ShardedCounter* uring_fallbacks = nullptr;  // kIoUring engine that runs epoll
-  // Data-path syscall accounting, the bench's syscalls/request numerator.
-  // The engine counts its own io_uring_enter calls; the readiness serving
-  // paths self-report their read/write/accept syscalls via CountSys*.
+  // Data-path syscall accounting, the bench's syscalls/request numerator:
+  // io_uring_enter calls, and the syscalls an epoll engine's data calls and
+  // send-queue flushes make.
   ShardedCounter* sys_enter = nullptr;     // io_uring_enter calls
   ShardedCounter* sys_read = nullptr;      // read/recvfrom on the data path
-  ShardedCounter* sys_write = nullptr;     // writev/sendto on the data path
+  ShardedCounter* sys_write = nullptr;     // send/sendmsg/sendto on the data path
   ShardedCounter* sys_accept = nullptr;    // accept4 on the data path
   // Completion data-path traffic.
   ShardedCounter* recv_segments = nullptr;    // provided-buffer segments queued
@@ -165,14 +161,14 @@ struct IoEngineStats {
 
 struct IoEngineOptions {
   enum class Backend {
-    kEpoll,    // readiness only
+    kEpoll,    // data calls make their syscalls
     kIoUring,  // completion data path; epoll if the kernel fails the probe
   };
   Backend backend = Backend::kEpoll;
 };
 
-// Entry points callable from uthreads (Register, Deregister, the
-// completion-path calls, DumpDebug) hold a Runtime::PreemptGuard while
+// Entry points callable from uthreads (Register, Deregister, the data
+// calls, DumpDebug) hold a Runtime::PreemptGuard while
 // they run: they take the engine's spinlocks, and a preemption tick inside one
 // would run this worker's Poll, which takes the same locks and would spin
 // forever on a holder queued behind it.
@@ -186,8 +182,8 @@ class IoEngine {
   IoEngine& operator=(const IoEngine&) = delete;
 
   // Registers `fd` with this engine: sets O_NONBLOCK and adds it to the
-  // epoll set for edge-triggered read/write/hup monitoring — or, for
-  // completion modes on a kIoUring engine, arms the mode's multishot op.
+  // epoll set for edge-triggered read/write/hup monitoring — or, for the
+  // data modes on a kIoUring engine, arms the mode's multishot op.
   // Callable from any worker (registration is spinlocked); returns null if
   // the kernel rejects the fd.
   SKYLOFT_NO_SWITCH IoHandle* Register(int fd, IoRegisterMode mode = IoRegisterMode::kReadiness);
@@ -220,58 +216,45 @@ class IoEngine {
   // any thread.
   SKYLOFT_NO_SWITCH static void Interrupt(IoHandle* handle);
 
-  // ---- Completion data path (kIoUring engines; see completion()) ----
+  // ---- Data calls (kStream/kListener/kDatagram handles) ----
   //
-  // All of these are callable from any worker: the handler uthread migrates
-  // via work stealing while the fd's completions keep landing on the home
-  // engine, which fills the per-handle queues these drain.
+  // Call them on the handle's own engine (handle->engine), from any worker:
+  // the handler uthread migrates via work stealing while the fd stays on its
+  // home engine. Each is nonblocking; "nothing yet" means WaitForReadable
+  // (or WaitForWritable) and retry. One reader and one writer per handle
+  // (the one-uthread-per-connection contract).
 
-  // Pops the next received segment of a kStream/kDatagram handle. Returns
-  // false when no segment is queued (wait for kIoReadable and retry). The
-  // caller owns the slice's buffer until RecycleBuffer(slice.buf_id).
-  SKYLOFT_NO_SWITCH bool PopRecv(IoHandle* handle, IoRecvSlice* slice);
+  // Copies up to `cap` (> 0) received bytes of a kStream handle into `buf`.
+  // Returns the byte count, kIoAgain, kIoEof once the peer's FIN is reached,
+  // or kIoReset when the connection failed.
+  SKYLOFT_NO_SWITCH std::ptrdiff_t Recv(IoHandle* handle, char* buf, std::size_t cap);
 
-  // Returns a provided buffer to this engine's ring. Must be called exactly
-  // once per popped slice, on the handle's HOME engine (slice buffers belong
-  // to the engine that produced them, not to whichever worker consumed).
-  SKYLOFT_NO_SWITCH void RecycleBuffer(std::uint16_t buf_id);
-
-  // Pops the next accepted connection fd of a kListener handle; -1 when the
-  // queue is empty (wait for kIoReadable and retry).
-  SKYLOFT_NO_SWITCH int TakeAccepted(IoHandle* handle);
-
-  // Queues `frame` on a kStream handle's async send queue and arms a send if
-  // none is in flight (short sends re-arm from the CQE until drained; frames
-  // are coalesced up to 16 iovecs per submission). Returns the bytes
-  // now queued, or 0 if the handle is closed/errored and the frame was
-  // dropped. Single writer per handle (the one-uthread-per-connection
-  // contract). Backpressure: callers above a high-water mark of
-  // SendQueuedBytes should WaitForWritable, which returns once the final
-  // send CQE drains the queue.
-  SKYLOFT_NO_SWITCH std::size_t SendEnqueue(IoHandle* handle, std::string frame);
+  // Sends `bytes` on a kStream handle: what the socket cannot take now stays
+  // queued (a copy) and the engine finishes sending it on its own, in order,
+  // latching kIoWritable once the queue drains. Returns the bytes still
+  // queued (0 once the kernel has them all), or kIoReset, dropping the
+  // bytes, when the connection already failed. Backpressure: callers above
+  // a high-water mark of queued bytes should WaitForWritable.
+  SKYLOFT_NO_SWITCH std::ptrdiff_t Send(IoHandle* handle, std::string_view bytes);
+  // Bytes queued on a kStream handle and not yet sent.
   SKYLOFT_NO_SWITCH std::size_t SendQueuedBytes(IoHandle* handle);
 
-  // Fire-and-forget datagram reply on a kDatagram handle (async SENDMSG; the
-  // op owns the payload until its CQE). Returns false if the frame was
-  // dropped (closed handle or submission-queue pressure) — UDP semantics.
-  SKYLOFT_NO_SWITCH bool SendDatagram(IoHandle* handle, const sockaddr_in& to, std::string frame);
+  // Takes the next connection of a kListener handle: a nonblocking fd, or
+  // -1 when none is waiting.
+  SKYLOFT_NO_SWITCH int Accept(IoHandle* handle);
 
-  // Decodes a kDatagram slice (kernel-packed io_uring_recvmsg_out + sender
-  // address + payload) into an IoDatagram view. False on truncated input.
-  static bool ParseDatagram(const IoRecvSlice& slice, IoDatagram* out);
+  // Copies the next datagram of a kDatagram handle into `buf` (truncated to
+  // `cap`) and its sender into `peer`. Returns the payload length or
+  // kIoAgain. A datagram too large for an io_uring provided buffer reads as
+  // an empty one.
+  SKYLOFT_NO_SWITCH std::ptrdiff_t RecvFrom(IoHandle* handle, char* buf, std::size_t cap,
+                                            sockaddr_in* peer);
 
-  // Syscall self-reporting hooks for the READINESS data path: the serving
-  // loops count their per-request read/writev/accept4/recvfrom/sendto calls
-  // here so the bench's syscalls/request column covers both paths.
-  SKYLOFT_NO_SWITCH void CountSysRead(std::uint64_t n = 1) {
-    if (stats_.sys_read != nullptr) stats_.sys_read->Inc(worker_, n);
-  }
-  SKYLOFT_NO_SWITCH void CountSysWrite(std::uint64_t n = 1) {
-    if (stats_.sys_write != nullptr) stats_.sys_write->Inc(worker_, n);
-  }
-  SKYLOFT_NO_SWITCH void CountSysAccept(std::uint64_t n = 1) {
-    if (stats_.sys_accept != nullptr) stats_.sys_accept->Inc(worker_, n);
-  }
+  // Best-effort datagram to `peer` on a kDatagram handle. Returns false if it
+  // was dropped (closed handle, full socket buffer or submission queue) —
+  // UDP semantics.
+  SKYLOFT_NO_SWITCH bool SendTo(IoHandle* handle, const sockaddr_in& peer,
+                                std::string_view bytes);
 
   // Diagnostics: one-line-per-handle snapshot of queue depths, latch bits,
   // armed ops and ring positions. Callable from any thread (takes the handle
@@ -280,9 +263,9 @@ class IoEngine {
   SKYLOFT_NO_SWITCH void DumpDebug(std::FILE* out);
 
   bool using_io_uring() const { return uring_ != nullptr; }
-  // True when the completion data path is active, which is exactly when the
-  // engine runs io_uring. When false, completion-mode registers degrade to
-  // readiness and the caller must use its readiness path.
+  // True when the data calls are served by the completion data path, which
+  // is exactly when the engine runs io_uring; false when they make their
+  // syscalls on epoll.
   bool completion() const { return using_io_uring(); }
   int worker() const { return worker_; }
 
@@ -306,12 +289,13 @@ class IoEngine {
   SKYLOFT_NO_SWITCH SKYLOFT_ACQUIRES(uring_sq) static void SqLock(UringState* s);
   SKYLOFT_NO_SWITCH SKYLOFT_RELEASES(uring_sq) static void SqUnlock(UringState* s);
 
-  // Per-handle completion-queue spinlock (lock class `io_handle_q`); guards
-  // the rx/accepted/tx queues shared between the home engine's reaping and
-  // the (possibly stolen) handler uthread. Ordered before uring_sq: send
-  // arming nests SqLock inside the queue lock, never the reverse.
-  SKYLOFT_NO_SWITCH SKYLOFT_ACQUIRES(io_handle_q) static void QLock(IoCompletionState* cs);
-  SKYLOFT_NO_SWITCH SKYLOFT_RELEASES(io_handle_q) static void QUnlock(IoCompletionState* cs);
+  // Per-handle queue spinlock (lock class `io_handle_q`); guards the
+  // rx/accepted/tx queues shared between the home engine's Poll and the
+  // (possibly stolen) handler uthread. Ordered before uring_sq and
+  // uring_buf: send arming nests SqLock and Recv's recycling nests BufLock
+  // inside the queue lock, never the reverse.
+  SKYLOFT_NO_SWITCH SKYLOFT_ACQUIRES(io_handle_q) static void QLock(IoQueues* q);
+  SKYLOFT_NO_SWITCH SKYLOFT_RELEASES(io_handle_q) static void QUnlock(IoQueues* q);
 
   // Provided-buffer-ring producer spinlock (lock class `uring_buf`); guards
   // the ring tail shared by every worker that recycles a consumed buffer
@@ -321,6 +305,14 @@ class IoEngine {
 
   // Readiness: drains the epoll set until a short batch (both backends).
   SKYLOFT_NO_SWITCH int EpollPoll();
+  // Whether `handle` is served by io_uring completions (else by syscalls).
+  bool Completion(const IoHandle* handle) const {
+    return uring_ != nullptr && handle->queues != nullptr;
+  }
+  // epoll data path: writes a kStream handle's queued bytes until the queue
+  // is empty (returns kIoWritable), the socket is full (0) or the connection
+  // failed (kIoError; the queue is dropped).
+  SKYLOFT_NO_SWITCH SKYLOFT_REQUIRES(io_handle_q) unsigned WriteQueuedLocked(IoHandle* handle);
 
   // io_uring backend.
   bool UringInit();  // ring + feature probe + pbuf ring + registered files
@@ -339,13 +331,19 @@ class IoEngine {
   // Completion data path internals.
   SKYLOFT_NO_SWITCH bool ArmMainOp(IoHandle* handle);  // RECV/RECVMSG/ACCEPT by mode
   SKYLOFT_NO_SWITCH SKYLOFT_REQUIRES(io_handle_q) bool ArmSendLocked(IoHandle* handle);
+  SKYLOFT_NO_SWITCH SKYLOFT_REQUIRES(io_handle_q) bool EnqueueSendLocked(IoHandle* handle,
+                                                                          std::string_view bytes);
+  // Returns a provided buffer to this engine's ring; thread-safe.
+  SKYLOFT_NO_SWITCH void RecycleBuffer(std::uint16_t buf_id);
   SKYLOFT_NO_SWITCH void QueueCancel(IoHandle* handle, std::uintptr_t target_tag);
   SKYLOFT_NO_SWITCH void HandleRecvCqe(IoHandle* handle, std::int32_t res, std::uint32_t flags);
   SKYLOFT_NO_SWITCH void HandleAcceptCqe(IoHandle* handle, std::int32_t res, std::uint32_t flags);
   SKYLOFT_NO_SWITCH void HandleSendCqe(IoHandle* handle, std::int32_t res);
   SKYLOFT_NO_SWITCH void StallHandle(IoHandle* handle);
   SKYLOFT_NO_SWITCH void RearmStalled();
-  SKYLOFT_NO_SWITCH void FreeCompletionResources(IoHandle* handle);
+  // Frees a handle's queues at its free point, returning what they still
+  // hold: buffers to the ring, untaken accepted fds to the kernel.
+  SKYLOFT_NO_SWITCH void FreeQueues(IoHandle* handle);
   SKYLOFT_NO_SWITCH int AllocFixedSlot(int fd);       // -1 when the table is full
   SKYLOFT_NO_SWITCH void ReleaseFixedSlot(int slot);
 

@@ -22,9 +22,10 @@ struct IoHandle;
 // readiness (or a sticky kIoHup/kIoError), then consumes the readable/
 // writable latch and returns the observed IoReady mask. Edge-triggered
 // contract: after WaitForReadable returns, the caller must read until EAGAIN
-// before waiting again (symmetrically for writes) — the kernel only re-arms
-// the edge once the socket has been drained/filled. kIoHup/kIoError bits are
-// left latched so teardown paths keep observing them.
+// (on a data handle: call the engine's data calls until they report nothing
+// yet) before waiting again (symmetrically for writes) — the kernel only
+// re-arms the edge once the socket has been drained/filled. kIoHup/kIoError
+// bits are left latched so teardown paths keep observing them.
 //
 // Both primitives may return spuriously under racing wakeups (like every
 // Park-based wait in this runtime); callers sit in read/write loops that

@@ -2,7 +2,8 @@
 // WaitForReadable/WaitForWritable park/unpark primitives, over real loopback
 // sockets and pipes. The readiness tests run on both backends — on a
 // kIoUring engine every readiness handle sits in the epoll set behind the
-// bridge poll — and the completion tests on kIoUring:
+// bridge poll — and so do the data-call tests, which epoll serves with
+// syscalls and io_uring with completions:
 //   - park/unpark racing concurrent readiness (edge-triggered latch contract)
 //   - accept-batch overflow resupplying readiness via RelatchReadable
 //   - peer reset (SO_LINGER 0 -> RST) landing mid-write
@@ -10,8 +11,9 @@
 //   - Interrupt() waking a parked waiter for shutdown
 //   - Deregister with write interest still outstanding, then late writability
 //   - more ready handles than one epoll batch, and a retire with no events
-//   - the completion data path: recv/accept/send/datagram, buffer-ring
-//     exhaustion, resets, and handlers stolen across workers
+//   - the data calls: Recv/Send/Accept/RecvFrom/SendTo, short sends the
+//     engine finishes, EOF and resets, and handlers stolen across workers;
+//     buffer-ring exhaustion on io_uring
 //   - the I/O-first round order: a readiness wakeup overtakes a yielding or
 //     ticked uthread on both scheduler drivers
 // Runs under TSan/ASan in CI; every cross-thread handoff here is a real
@@ -22,6 +24,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cerrno>
@@ -33,6 +36,7 @@
 #include <ctime>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -86,7 +90,7 @@ RuntimeOptions IoOptions(int workers, Backend backend) {
   return options;
 }
 
-// Readiness tests, one instance per backend.
+// Readiness and data-call tests, one instance per backend.
 class IoEngineTest : public ::testing::TestWithParam<Backend> {
  protected:
   RuntimeOptions Options(int workers) const { return IoOptions(workers, GetParam()); }
@@ -98,8 +102,8 @@ INSTANTIATE_TEST_SUITE_P(Backends, IoEngineTest,
                            return info.param == Backend::kIoUring ? "IoUring" : "Epoll";
                          });
 
-// Completion tests: kIoUring engines. They skip only where the kernel
-// refuses io_uring, which leaves the engine on epoll.
+// Tests of io_uring machinery with no epoll counterpart. They skip only where
+// the kernel refuses io_uring, which leaves the engine on epoll.
 class IoEngineCompletionTest : public ::testing::Test {
  protected:
   static RuntimeOptions Options(int workers) { return IoOptions(workers, Backend::kIoUring); }
@@ -462,28 +466,33 @@ TEST_P(IoEngineTest, InterruptedWriterDeregisterThenPeerDrain) {
   close(pair.client);
 }
 
-TEST_P(IoEngineTest, RegisterModeFollowsBackend) {
-  // A completion mode is a request: an epoll engine records kReadiness and
-  // serves the fd through its epoll set.
+TEST_P(IoEngineTest, RegisterKeepsModeOnBothBackends) {
+  // A data mode is served by the engine on either backend, so the handle
+  // keeps it and gets the engine's queues; a kReadiness handle has none.
   Runtime rt(Options(1));
   int sv[2];
   ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  int pipefd[2];
+  ASSERT_EQ(pipe(pipefd), 0);
   rt.Run([&] {
     IoEngine* engine = rt.io_engine(0);
     EXPECT_EQ(engine->completion(), engine->using_io_uring());
-    IoHandle* handle = engine->Register(sv[0], IoRegisterMode::kStream);
-    ASSERT_NE(handle, nullptr);
-    if (engine->completion()) {
-      EXPECT_EQ(handle->mode, IoRegisterMode::kStream);
-      EXPECT_NE(handle->cs, nullptr);
-    } else {
+    if (!engine->completion()) {
       EXPECT_EQ(GetParam(), Backend::kEpoll) << "the kernel refused io_uring";
-      EXPECT_EQ(handle->mode, IoRegisterMode::kReadiness);
-      EXPECT_EQ(handle->cs, nullptr);
     }
-    engine->Deregister(handle);
+    IoHandle* stream = engine->Register(sv[0], IoRegisterMode::kStream);
+    ASSERT_NE(stream, nullptr);
+    EXPECT_EQ(stream->mode, IoRegisterMode::kStream);
+    EXPECT_NE(stream->queues, nullptr);
+    IoHandle* pipe_handle = engine->Register(pipefd[0]);
+    ASSERT_NE(pipe_handle, nullptr);
+    EXPECT_EQ(pipe_handle->mode, IoRegisterMode::kReadiness);
+    EXPECT_EQ(pipe_handle->queues, nullptr);
+    engine->Deregister(stream);
+    engine->Deregister(pipe_handle);
   });
   close(sv[1]);
+  close(pipefd[1]);
 }
 
 TEST_P(IoEngineTest, MoreReadyHandlesThanOneBatchAllDelivered) {
@@ -616,10 +625,11 @@ TEST_P(IoEngineTest, PipeReadinessWorks) {
 }
 
 // ---------------------------------------------------------------------------
-// Completion data path (multishot RECV/ACCEPT, provided buffer rings, async
-// sends) on kIoUring engines. Every test gates on IoEngine::completion(),
-// the run-time probe, and skips only where the kernel refused io_uring and
-// the same registrations degrade to the readiness path tested above.
+// Data calls (Recv/Send/Accept/RecvFrom/SendTo) on both backends. An epoll
+// engine makes the syscalls and finishes short sends from Poll on EPOLLOUT;
+// an io_uring engine serves them from multishot completions, provided
+// buffers and async sends. Where a test names a counter, it reads the one
+// the backend's path increments.
 // ---------------------------------------------------------------------------
 
 // Reads a runtime io counter by unqualified name from the global registry
@@ -635,18 +645,31 @@ std::int64_t IoCounterValue(const char* name) {
   return -1;
 }
 
-// Pops and recycles every queued segment, appending payload bytes to `sink`.
-std::size_t DrainRecvInto(IoEngine* engine, IoHandle* handle, std::string* sink) {
-  std::size_t total = 0;
-  IoRecvSlice slice;
-  while (engine->PopRecv(handle, &slice)) {
+// Recv's until nothing is left, appending the bytes to `sink` (if any).
+// Returns the last result: kIoAgain, kIoEof or kIoReset. The buffer is
+// smaller than an io_uring provided buffer, so segments are copied out in
+// parts.
+std::ptrdiff_t DrainRecvInto(IoEngine* engine, IoHandle* handle, std::string* sink) {
+  char buf[1000];
+  std::ptrdiff_t n;
+  while ((n = engine->Recv(handle, buf, sizeof(buf))) > 0) {
     if (sink != nullptr) {
-      sink->append(slice.data, slice.len);
+      sink->append(buf, static_cast<std::size_t>(n));
     }
-    total += slice.len;
-    engine->RecycleBuffer(slice.buf_id);
   }
-  return total;
+  return n;
+}
+
+// Parks until the engine has sent everything Send queued on `handle` (it
+// latches kIoWritable when the queue drains).
+SKYLOFT_MAY_SWITCH void AwaitSent(IoEngine* engine, IoHandle* handle) {
+  while (engine->SendQueuedBytes(handle) > 0) {
+    const unsigned w = WaitForWritable(handle);
+    ASSERT_EQ(w & kIoError, 0u);
+    if ((w & kIoWritable) == 0) {
+      Runtime::Yield();  // a sticky hup: let the worker reap the send
+    }
+  }
 }
 
 std::string PatternBytes(std::size_t n, unsigned seed) {
@@ -658,13 +681,35 @@ std::string PatternBytes(std::size_t n, unsigned seed) {
   return s;
 }
 
-TEST_F(IoEngineCompletionTest, CompletionStreamEchoRoundTrip) {
+TEST_P(IoEngineTest, DeregisteredStreamHandleIsFreed) {
+  // Teardown accounting: on io_uring the handle is freed only when the
+  // cancelled receive, both cancels and the open reference have all been
+  // counted down, so a leaked count keeps it alive and a missing one frees
+  // it early (ASan); on epoll the retire list frees it.
   Runtime rt(Options(1));
-  if (!rt.io_engine(0)->completion()) {
-    GTEST_SKIP() << "the kernel refused io_uring; the engine runs epoll";
-  }
   TcpPair pair = MakeTcpPair();
-  const std::string msg = PatternBytes(512, 7);
+  int live_after = -1;
+  rt.Run([&] {
+    IoEngine* engine = rt.io_engine(0);
+    IoHandle* handle = engine->Register(pair.server, IoRegisterMode::kStream);
+    ASSERT_NE(handle, nullptr);
+    ASSERT_GE(engine->Send(handle, "bye"), 0);
+    Runtime::SleepFor(1'000);  // the receive is armed and the send done
+    engine->Deregister(handle);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    do {
+      Runtime::SleepFor(1'000);
+      live_after = LiveHandles(engine);
+    } while (live_after > 0 && std::chrono::steady_clock::now() < deadline);
+  });
+  EXPECT_EQ(live_after, 0);
+  close(pair.client);
+}
+
+TEST_P(IoEngineTest, StreamEchoRoundTrip) {
+  Runtime rt(Options(1));
+  TcpPair pair = MakeTcpPair();
+  const std::string msg = PatternBytes(5000, 7);
   std::thread client([&] {
     ASSERT_EQ(write(pair.client, msg.data(), msg.size()), static_cast<ssize_t>(msg.size()));
     std::string back;
@@ -682,26 +727,15 @@ TEST_F(IoEngineCompletionTest, CompletionStreamEchoRoundTrip) {
     IoEngine* engine = rt.io_engine(0);
     IoHandle* handle = engine->Register(pair.server, IoRegisterMode::kStream);
     ASSERT_NE(handle, nullptr);
-    ASSERT_NE(handle->cs, nullptr) << "expected the completion path, got readiness";
     Runtime::Spawn([&, handle] {
       std::string got;
-      while (true) {
-        const unsigned ready = WaitForReadable(handle);
-        DrainRecvInto(engine, handle, &got);
-        if (got.size() >= msg.size() || (ready & (kIoHup | kIoError)) != 0) {
-          break;
-        }
+      while (got.size() < msg.size()) {
+        WaitForReadable(handle);
+        ASSERT_EQ(DrainRecvInto(engine, handle, &got), kIoAgain);
       }
       EXPECT_EQ(got, msg);
-      EXPECT_GT(engine->SendEnqueue(handle, got), 0u);
-      // Flush before teardown: wait for the final send CQE's drain latch.
-      while (engine->SendQueuedBytes(handle) > 0) {
-        const unsigned w = WaitForWritable(handle);
-        ASSERT_EQ(w & kIoError, 0u);
-        if ((w & kIoWritable) == 0) {
-          Runtime::Yield();
-        }
-      }
+      EXPECT_GE(engine->Send(handle, got), 0);
+      AwaitSent(engine, handle);  // flush before teardown
       engine->Deregister(handle);
       done.store(true, std::memory_order_release);
     });
@@ -710,18 +744,17 @@ TEST_F(IoEngineCompletionTest, CompletionStreamEchoRoundTrip) {
   client.join();
 }
 
-TEST_F(IoEngineCompletionTest, CompletionShortSendContinuation) {
+TEST_P(IoEngineTest, ShortSendContinuation) {
   Runtime rt(Options(1));
-  if (!rt.io_engine(0)->completion()) {
-    GTEST_SKIP() << "the kernel refused io_uring; the engine runs epoll";
-  }
   TcpPair pair = MakeTcpPair();
-  // Tiny send buffer + a slow reader: the async SEND must complete short and
-  // the CQE handler must re-arm the remainder (repeatedly) until drained.
+  // Tiny send buffer + a slow reader: the send completes short and the
+  // engine must send the remainder (repeatedly) until drained — from the
+  // send CQE on io_uring, from Poll on EPOLLOUT on epoll.
   const int sndbuf = 4096;
   ASSERT_EQ(setsockopt(pair.server, SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf)), 0);
   constexpr std::size_t kPayload = 1 << 20;
   const std::string payload = PatternBytes(kPayload, 99);
+  const std::int64_t writes_before = IoCounterValue("sys_write");
   std::thread client([&] {
     std::string back;
     char buf[16 * 1024];
@@ -741,20 +774,23 @@ TEST_F(IoEngineCompletionTest, CompletionShortSendContinuation) {
     IoEngine* engine = rt.io_engine(0);
     IoHandle* handle = engine->Register(pair.server, IoRegisterMode::kStream);
     ASSERT_NE(handle, nullptr);
-    ASSERT_NE(handle->cs, nullptr);
     Runtime::Spawn([&, handle] {
-      ASSERT_GT(engine->SendEnqueue(handle, payload), 0u);
-      while (engine->SendQueuedBytes(handle) > 0) {
-        const unsigned w = WaitForWritable(handle);
-        ASSERT_EQ(w & kIoError, 0u);
-        if ((w & kIoWritable) == 0) {
-          Runtime::Yield();
-        }
-      }
+      // Two sends: the second queues behind the first's unsent remainder.
+      const std::string_view half = std::string_view(payload).substr(0, kPayload / 2);
+      EXPECT_GT(engine->Send(handle, half), 0) << "a 4 KiB socket buffer cannot take 512 KiB";
+      EXPECT_GT(engine->SendQueuedBytes(handle), 0u);
+      ASSERT_GT(engine->Send(handle, std::string_view(payload).substr(kPayload / 2)),
+                static_cast<std::ptrdiff_t>(half.size()));
+      AwaitSent(engine, handle);
       engine->Deregister(handle);
       done.store(true, std::memory_order_release);
     });
     AwaitFlag(done);
+    if (!engine->completion()) {
+      // The handler's send hit the full socket once; the rest went out from
+      // Poll's flushes, each one more counted write.
+      EXPECT_GT(IoCounterValue("sys_write"), writes_before + 2);
+    }
   });
   client.join();
 }
@@ -786,7 +822,6 @@ TEST_F(IoEngineCompletionTest, CompletionBufferRingExhaustionRearms) {
     IoEngine* engine = rt.io_engine(0);
     IoHandle* handle = engine->Register(pair.server, IoRegisterMode::kStream);
     ASSERT_NE(handle, nullptr);
-    ASSERT_NE(handle->cs, nullptr);
     Runtime::Spawn([&, handle] {
       // Let the flood drain the ring dry before consuming anything.
       Runtime::SleepFor(50'000);
@@ -806,14 +841,12 @@ TEST_F(IoEngineCompletionTest, CompletionBufferRingExhaustionRearms) {
   client.join();
 }
 
-TEST_F(IoEngineCompletionTest, CompletionEchoUnderStealChurn) {
+TEST_P(IoEngineTest, EchoUnderStealChurn) {
   // Multi-worker echo: handler uthreads migrate via work stealing while
-  // their fds' completions keep landing on the HOME engine, so PopRecv/
-  // RecycleBuffer/SendEnqueue all cross workers. TSan is the real assertion.
+  // their fds stay on the HOME engine, so Recv (and its buffer recycling on
+  // io_uring), Send, and Poll's send flushes all cross workers. TSan is the
+  // real assertion.
   Runtime rt(Options(2));
-  if (!rt.io_engine(0)->completion()) {
-    GTEST_SKIP() << "the kernel refused io_uring; the engine runs epoll";
-  }
   constexpr int kConns = 4;
   constexpr int kRounds = 200;
   TcpPair pairs[kConns];
@@ -847,16 +880,16 @@ TEST_F(IoEngineCompletionTest, CompletionEchoUnderStealChurn) {
       IoEngine* engine = rt.io_engine(c % 2);
       IoHandle* handle = engine->Register(pairs[c].server, IoRegisterMode::kStream);
       ASSERT_NE(handle, nullptr);
-      ASSERT_NE(handle->cs, nullptr);
       Runtime::Spawn([&, engine, handle] {
         while (true) {
-          const unsigned ready = WaitForReadable(handle);
+          WaitForReadable(handle);
           std::string chunk;
-          DrainRecvInto(engine, handle, &chunk);
+          const std::ptrdiff_t last = DrainRecvInto(engine, handle, &chunk);
           if (!chunk.empty()) {
-            ASSERT_GT(engine->SendEnqueue(handle, std::move(chunk)), 0u);
+            ASSERT_GE(engine->Send(handle, chunk), 0);
           }
-          if ((ready & (kIoHup | kIoError)) != 0) {
+          if (last != kIoAgain) {
+            EXPECT_EQ(last, kIoEof);
             break;  // ping-pong protocol: nothing can be in flight by FIN
           }
         }
@@ -884,14 +917,12 @@ TEST_F(IoEngineCompletionTest, CompletionEchoUnderStealChurn) {
   }
 }
 
-TEST_F(IoEngineCompletionTest, CompletionPeerResetMidSend) {
-  // RST lands while an async send is in flight and the multishot recv is
-  // armed: the error must latch kIoError (waking the handler), the send
-  // queue must drop, and teardown must not leak ops or buffers (ASan).
+TEST_P(IoEngineTest, PeerResetMidSend) {
+  // RST lands while sent bytes are still queued and a receive is pending:
+  // Recv must report the failure (after waking the handler), the engine
+  // must drop the send queue and refuse later sends, and teardown must not
+  // leak ops or buffers (ASan).
   Runtime rt(Options(1));
-  if (!rt.io_engine(0)->completion()) {
-    GTEST_SKIP() << "the kernel refused io_uring; the engine runs epoll";
-  }
   TcpPair pair = MakeTcpPair();
   const int sndbuf = 4096;
   ASSERT_EQ(setsockopt(pair.server, SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf)), 0);
@@ -906,40 +937,40 @@ TEST_F(IoEngineCompletionTest, CompletionPeerResetMidSend) {
     close(pair.client);  // RST
   });
   std::atomic<bool> done{false};
+  std::ptrdiff_t last = kIoAgain;
+  std::ptrdiff_t send_after_reset = 0;
   rt.Run([&] {
     IoEngine* engine = rt.io_engine(0);
     IoHandle* handle = engine->Register(pair.server, IoRegisterMode::kStream);
     ASSERT_NE(handle, nullptr);
-    ASSERT_NE(handle->cs, nullptr);
     Runtime::Spawn([&, handle] {
       // Far more than sndbuf + rcvbuf: guaranteed still queued at the RST.
-      ASSERT_GT(engine->SendEnqueue(handle, PatternBytes(1 << 20, 13)), 0u);
+      ASSERT_GT(engine->Send(handle, PatternBytes(1 << 20, 13)), 0);
       queued.store(true, std::memory_order_release);
-      unsigned ready = 0;
-      while ((ready & (kIoError | kIoHup)) == 0) {
-        ready = WaitForReadable(handle);
-        DrainRecvInto(engine, handle, nullptr);
+      while (last == kIoAgain) {
+        WaitForReadable(handle);
+        last = DrainRecvInto(engine, handle, nullptr);
       }
-      // The failed send CQE dropped the queue so teardown cannot wait on
-      // bytes that can never leave.
+      // The failed send dropped the queue so teardown cannot wait on bytes
+      // that can never leave.
       while (engine->SendQueuedBytes(handle) > 0) {
         Runtime::SleepFor(500);
       }
+      send_after_reset = engine->Send(handle, "late");
       engine->Deregister(handle);
       done.store(true, std::memory_order_release);
     });
     AwaitFlag(done);
   });
   client.join();
+  EXPECT_EQ(last, kIoReset);
+  EXPECT_EQ(send_after_reset, kIoReset) << "a failed connection must refuse further sends";
 }
 
-TEST_F(IoEngineCompletionTest, CompletionEofDeliveredAfterData) {
-  // Graceful FIN: every data CQE precedes the zero-byte EOF CQE, so a
-  // handler that wakes on kIoHup still finds (and must drain) all bytes.
+TEST_P(IoEngineTest, EofDeliveredAfterData) {
+  // Graceful FIN: every byte is read before Recv reports the EOF, even when
+  // the handler first wakes after the FIN arrived.
   Runtime rt(Options(1));
-  if (!rt.io_engine(0)->completion()) {
-    GTEST_SKIP() << "the kernel refused io_uring; the engine runs epoll";
-  }
   TcpPair pair = MakeTcpPair();
   constexpr std::size_t kTotal = 10 * 1024;
   const std::string payload = PatternBytes(kTotal, 21);
@@ -957,17 +988,16 @@ TEST_F(IoEngineCompletionTest, CompletionEofDeliveredAfterData) {
     IoEngine* engine = rt.io_engine(0);
     IoHandle* handle = engine->Register(pair.server, IoRegisterMode::kStream);
     ASSERT_NE(handle, nullptr);
-    ASSERT_NE(handle->cs, nullptr);
     Runtime::Spawn([&, handle] {
       std::string got;
-      unsigned ready = 0;
-      while ((ready & (kIoHup | kIoError)) == 0 || got.size() < kTotal) {
-        ready |= WaitForReadable(handle);
+      std::ptrdiff_t last = kIoAgain;
+      while (last == kIoAgain) {
+        const unsigned ready = WaitForReadable(handle);
         ASSERT_EQ(ready & kIoError, 0u);
-        DrainRecvInto(engine, handle, &got);
+        last = DrainRecvInto(engine, handle, &got);
       }
+      EXPECT_EQ(last, kIoEof);
       EXPECT_EQ(got, payload);
-      EXPECT_NE(ready & kIoHup, 0u);
       engine->Deregister(handle);
       done.store(true, std::memory_order_release);
     });
@@ -976,11 +1006,8 @@ TEST_F(IoEngineCompletionTest, CompletionEofDeliveredAfterData) {
   client.join();
 }
 
-TEST_F(IoEngineCompletionTest, CompletionMultishotAcceptQueuesFds) {
+TEST_P(IoEngineTest, AcceptQueuesConnections) {
   Runtime rt(Options(1));
-  if (!rt.io_engine(0)->completion()) {
-    GTEST_SKIP() << "the kernel refused io_uring; the engine runs epoll";
-  }
   const int lfd = socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(lfd, 0);
   sockaddr_in addr{};
@@ -990,6 +1017,9 @@ TEST_F(IoEngineCompletionTest, CompletionMultishotAcceptQueuesFds) {
   ASSERT_EQ(listen(lfd, 16), 0);
   socklen_t alen = sizeof(addr);
   ASSERT_EQ(getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &alen), 0);
+  // Each backend counts its accepts in its own lane.
+  const char* counter = rt.io_engine(0)->completion() ? "completion_accepts" : "sys_accept";
+  const std::int64_t accepts_before = std::max<std::int64_t>(IoCounterValue(counter), 0);
 
   constexpr int kClients = 6;
   std::vector<std::thread> clients;
@@ -1011,15 +1041,15 @@ TEST_F(IoEngineCompletionTest, CompletionMultishotAcceptQueuesFds) {
     IoEngine* engine = rt.io_engine(0);
     IoHandle* listener = engine->Register(lfd, IoRegisterMode::kListener);
     ASSERT_NE(listener, nullptr);
-    ASSERT_NE(listener->cs, nullptr);
     Runtime::Spawn([&, listener] {
       std::atomic<int> served{0};
       int accepted = 0;
       while (accepted < kClients) {
         WaitForReadable(listener);
         int fd;
-        while ((fd = engine->TakeAccepted(listener)) >= 0) {
+        while ((fd = engine->Accept(listener)) >= 0) {
           accepted++;
+          EXPECT_NE(fcntl(fd, F_GETFL) & O_NONBLOCK, 0);
           IoHandle* conn = engine->Register(fd, IoRegisterMode::kStream);
           ASSERT_NE(conn, nullptr);
           Runtime::Spawn([&, conn] {
@@ -1028,14 +1058,8 @@ TEST_F(IoEngineCompletionTest, CompletionMultishotAcceptQueuesFds) {
               WaitForReadable(conn);
               DrainRecvInto(engine, conn, &got);
             }
-            ASSERT_GT(engine->SendEnqueue(conn, got), 0u);
-            // One-byte echo: wait for the drain latch, then tear down.
-            while (engine->SendQueuedBytes(conn) > 0) {
-              const unsigned w = WaitForWritable(conn);
-              if ((w & (kIoWritable | kIoError)) == 0) {
-                Runtime::Yield();
-              }
-            }
+            ASSERT_GE(engine->Send(conn, got), 0);
+            AwaitSent(engine, conn);  // one-byte echo, then tear down
             engine->Deregister(conn);
             served.fetch_add(1, std::memory_order_release);
           });
@@ -1048,18 +1072,15 @@ TEST_F(IoEngineCompletionTest, CompletionMultishotAcceptQueuesFds) {
       done.store(true, std::memory_order_release);
     });
     AwaitFlag(done);
-    EXPECT_GE(IoCounterValue("completion_accepts"), kClients);
+    EXPECT_GE(IoCounterValue(counter) - accepts_before, kClients);
   });
   for (std::thread& t : clients) {
     t.join();
   }
 }
 
-TEST_F(IoEngineCompletionTest, CompletionDatagramRoundTrip) {
+TEST_P(IoEngineTest, DatagramRoundTrip) {
   Runtime rt(Options(1));
-  if (!rt.io_engine(0)->completion()) {
-    GTEST_SKIP() << "the kernel refused io_uring; the engine runs epoll";
-  }
   const int ufd = socket(AF_INET, SOCK_DGRAM, 0);
   ASSERT_GE(ufd, 0);
   sockaddr_in addr{};
@@ -1099,18 +1120,16 @@ TEST_F(IoEngineCompletionTest, CompletionDatagramRoundTrip) {
     IoEngine* engine = rt.io_engine(0);
     IoHandle* handle = engine->Register(ufd, IoRegisterMode::kDatagram);
     ASSERT_NE(handle, nullptr);
-    ASSERT_NE(handle->cs, nullptr);
     Runtime::Spawn([&, handle] {
       int echoed = 0;
+      char buf[256];
       while (echoed < kDatagrams) {
         WaitForReadable(handle);
-        IoRecvSlice slice;
-        while (engine->PopRecv(handle, &slice)) {
-          IoDatagram dgram;
-          ASSERT_TRUE(IoEngine::ParseDatagram(slice, &dgram));
-          ASSERT_TRUE(engine->SendDatagram(handle, dgram.peer,
-                                           std::string(dgram.data, dgram.len)));
-          engine->RecycleBuffer(slice.buf_id);
+        sockaddr_in peer{};
+        std::ptrdiff_t n;
+        while ((n = engine->RecvFrom(handle, buf, sizeof(buf), &peer)) >= 0) {
+          ASSERT_TRUE(engine->SendTo(handle, peer,
+                                     std::string_view(buf, static_cast<std::size_t>(n))));
           echoed++;
         }
       }

@@ -1,15 +1,19 @@
 // Tests for the networked KV server's store and request path
 // (src/apps/kv_server_net): SCAN over the striped store returns the global
 // first `limit` keys >= start, in key order, and the same holds end to end
-// over real loopback TCP. The loopback test runs once per I/O backend: the
-// epoll engine serves the readiness path, the io_uring engine the
-// completion data path.
+// over real loopback TCP; UDP serves one frame per datagram and drops broken
+// ones; pipelined frames followed by a half-close get every reply, in order,
+// before the server closes. The loopback tests run once per I/O backend: the
+// epoll engine serves the data calls with syscalls, the io_uring engine with
+// completions.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <string>
 #include <thread>
@@ -149,13 +153,172 @@ INSTANTIATE_TEST_SUITE_P(Backends, KvServerNetTest,
                                                                                    : "Epoll";
                          });
 
-TEST_P(KvServerNetTest, ScanOverLoopbackTcp) {
+// Runs `client` on an OS thread against a server started with `sopts`, on a
+// two-worker runtime of the test's backend, and stops the server once the
+// client returns. `inspect` sees the stopped server.
+void ServeWhile(IoEngineOptions::Backend backend, KvServerNetOptions sopts,
+                const std::function<void(const KvServerNet&)>& client,
+                const std::function<void(const KvServerNet&)>& inspect) {
   RuntimeOptions ropts;
   ropts.workers = 2;
   ropts.io_engine = true;
-  ropts.io.backend = GetParam();
+  ropts.io.backend = backend;
   Runtime rt(ropts);
+  std::thread thread;
+  rt.Run([&] {
+    KvServerNet server(&rt, sopts);
+    server.Start();
+    std::atomic<bool> done{false};
+    thread = std::thread([&] {
+      client(server);
+      done.store(true, std::memory_order_release);
+    });
+    // Wait on the runtime clock, not by joining: a join would block the
+    // worker pthread that has to serve the client.
+    while (!done.load(std::memory_order_acquire)) {
+      Runtime::SleepFor(500);
+    }
+    server.Stop();
+    inspect(server);
+  });
+  thread.join();
+}
 
+// A receive timeout turns a lost reply into a test failure instead of a hang.
+void SetRecvTimeout(int fd) {
+  timeval tv{.tv_sec = 5, .tv_usec = 0};
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+}
+
+sockaddr_in Loopback(std::uint16_t port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  return addr;
+}
+
+TEST_P(KvServerNetTest, UdpRoundTrip) {
+  KvServerNetOptions sopts;
+  sopts.tcp = false;
+  sopts.preload_keys = 100;
+  std::vector<std::string> replies;
+  std::uint64_t frame_errors = 0;
+  std::uint64_t udp_requests = 0;
+  ServeWhile(
+      GetParam(), sopts,
+      [&](const KvServerNet& server) {
+        const int fd = socket(AF_INET, SOCK_DGRAM, 0);
+        ASSERT_GE(fd, 0);
+        SetRecvTimeout(fd);
+        const sockaddr_in addr = Loopback(server.udp_port());
+        const auto send_datagram = [&](const std::string& bytes) {
+          ASSERT_EQ(sendto(fd, bytes.data(), bytes.size(), 0,
+                           reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
+                    static_cast<ssize_t>(bytes.size()));
+        };
+        const auto reply = [&]() -> std::string {
+          char buf[2048];
+          const ssize_t n = recvfrom(fd, buf, sizeof(buf), 0, nullptr, nullptr);
+          std::string payload;
+          if (n <= 0 || DecodeFrame(reinterpret_cast<const std::uint8_t*>(buf),
+                                    static_cast<std::size_t>(n),
+                                    &payload) != FrameDecodeStatus::kFrame) {
+            return "<no reply>";
+          }
+          return payload;
+        };
+        // One client socket: the kernel steers all of its datagrams to the
+        // same worker's socket, which serves them in arrival order.
+        for (const char* request : {"GET user7", "SET fresh v1", "GET fresh"}) {
+          send_datagram(EncodeFrame(request));
+          replies.push_back(reply());
+        }
+        // A frame cut short: its header promises more payload than the
+        // datagram carries. It is dropped without a reply.
+        const std::string frame = EncodeFrame("GET user8");
+        send_datagram(frame.substr(0, frame.size() - 3));
+        send_datagram(EncodeFrame("GET user9"));
+        replies.push_back(reply());
+        close(fd);
+      },
+      [&](const KvServerNet& server) {
+        frame_errors = server.frame_errors();
+        udp_requests = server.udp_requests();
+      });
+  EXPECT_EQ(replies, (std::vector<std::string>{"VALUE profile-7", "STORED", "VALUE v1",
+                                               "VALUE profile-9"}));
+  EXPECT_EQ(frame_errors, 1u);
+  EXPECT_EQ(udp_requests, 4u);
+}
+
+TEST_P(KvServerNetTest, PipelinedFramesThenHalfClose) {
+  constexpr int kFrames = 32;
+  std::string batch;
+  std::vector<std::string> expected;
+  for (int i = 0; i < kFrames; i++) {
+    const std::string k = std::to_string(i);
+    switch (i % 3) {
+      case 0:
+        batch += EncodeFrame("SET piped" + k + " v" + k);
+        expected.push_back("STORED");
+        break;
+      case 1:  // reads the SET of the frame before it
+        batch += EncodeFrame("GET piped" + std::to_string(i - 1));
+        expected.push_back("VALUE v" + std::to_string(i - 1));
+        break;
+      default:
+        batch += EncodeFrame("GET user" + k);
+        expected.push_back("VALUE profile-" + k);
+        break;
+    }
+  }
+  KvServerNetOptions sopts;
+  sopts.udp = false;
+  sopts.preload_keys = 100;
+  std::vector<std::string> replies;
+  bool eof = false;
+  std::uint64_t tcp_requests = 0;
+  std::uint64_t peer_resets = 0;
+  ServeWhile(
+      GetParam(), sopts,
+      [&](const KvServerNet& server) {
+        const int fd = socket(AF_INET, SOCK_STREAM, 0);
+        ASSERT_GE(fd, 0);
+        SetRecvTimeout(fd);
+        const sockaddr_in addr = Loopback(server.tcp_port());
+        ASSERT_EQ(connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+        // All frames in one write, then the half-close: the server reads
+        // them and the EOF in one go, and still owes every reply.
+        ASSERT_EQ(write(fd, batch.data(), batch.size()), static_cast<ssize_t>(batch.size()));
+        ASSERT_EQ(shutdown(fd, SHUT_WR), 0);
+        FrameDecoder decoder;
+        char buf[4096];
+        while (true) {
+          const ssize_t n = read(fd, buf, sizeof(buf));
+          if (n <= 0) {
+            eof = n == 0;
+            break;
+          }
+          decoder.Feed(buf, static_cast<std::size_t>(n));
+        }
+        std::string reply;
+        while (decoder.Next(&reply) == FrameDecodeStatus::kFrame) {
+          replies.push_back(reply);
+        }
+        close(fd);
+      },
+      [&](const KvServerNet& server) {
+        tcp_requests = server.tcp_requests();
+        peer_resets = server.peer_resets();
+      });
+  EXPECT_TRUE(eof) << "the server must close after the last reply, not reset or stall";
+  EXPECT_EQ(replies, expected);
+  EXPECT_EQ(tcp_requests, static_cast<std::uint64_t>(kFrames));
+  EXPECT_EQ(peer_resets, 0u);
+}
+
+TEST_P(KvServerNetTest, ScanOverLoopbackTcp) {
   // The server preloads user<i> -> profile-<i>, so keys sort as strings:
   // user0, user1, user10, user11, ...
   constexpr int kKeys = 100;
@@ -166,28 +329,14 @@ TEST_P(KvServerNetTest, ScanOverLoopbackTcp) {
   const std::vector<std::string> requests = {
       "SCAN user5 5", "SCAN user 1000", "SCAN user99 4", "SCAN zzz 3",
       "SET user505 fresh", "SCAN user50 3", "GET user505"};
+  KvServerNetOptions sopts;
+  sopts.udp = false;
+  sopts.preload_keys = kKeys;
   std::vector<std::string> replies;
-  std::thread client;
-
-  rt.Run([&] {
-    KvServerNetOptions sopts;
-    sopts.udp = false;
-    sopts.preload_keys = kKeys;
-    KvServerNet server(&rt, sopts);
-    server.Start();
-    std::atomic<bool> done{false};
-    client = std::thread([&] {
-      replies = RoundTrips(server.tcp_port(), requests);
-      done.store(true, std::memory_order_release);
-    });
-    // Wait on the runtime clock, not by joining: a join would block the
-    // worker pthread that has to serve the client.
-    while (!done.load(std::memory_order_acquire)) {
-      Runtime::SleepFor(500);
-    }
-    server.Stop();
-  });
-  client.join();
+  ServeWhile(
+      GetParam(), sopts,
+      [&](const KvServerNet& server) { replies = RoundTrips(server.tcp_port(), requests); },
+      [](const KvServerNet&) {});
 
   ASSERT_EQ(replies.size(), requests.size());
   EXPECT_EQ(replies[0], "user5=profile-5;user50=profile-50;user51=profile-51;"
