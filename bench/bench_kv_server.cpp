@@ -36,6 +36,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
+#include <sys/prctl.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
@@ -44,6 +45,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <csignal>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -540,6 +542,7 @@ SKYLOFT_MAY_SWITCH LoadPointOutcome RunPoint(Runtime* rt, std::uint16_t port,
     std::fprintf(stderr, "pipe failed: %s\n", std::strerror(errno));
     return {};
   }
+  const pid_t parent = getpid();
   const pid_t child = fork();
   if (child < 0) {
     // No child process available: run in-process with whatever connection
@@ -565,6 +568,16 @@ SKYLOFT_MAY_SWITCH LoadPointOutcome RunPoint(Runtime* rt, std::uint16_t port,
     // Client process. Only this thread survived the fork; the runtime's
     // workers, timers, and sockets belong to the parent (inherited fd
     // copies are left untouched and die with _exit).
+    //
+    // Die with the parent: a server that aborts mid-sweep must not leave a
+    // pool of client threads spinning on. The signal follows the forking
+    // thread, a runtime worker that outlives the waitpid below, so it fires
+    // only when the parent process goes. A parent that died before the
+    // prctl is caught by the getppid check.
+    prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (getppid() != parent) {
+      _exit(1);
+    }
     close(pipefd[0]);
     const LoadPointOutcome out = RunClientPool(port, cfg);
     ssize_t wrote = write(pipefd[1], &out, sizeof(out));

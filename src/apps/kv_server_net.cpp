@@ -8,8 +8,10 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 
 #include "src/base/logging.h"
 #include "src/net/frame.h"
@@ -34,7 +36,7 @@ unsigned RoundUpPow2(unsigned v) {
   return p;
 }
 
-std::uint64_t KeyHash(const std::string& key) {
+std::uint64_t KeyHash(std::string_view key) {
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a
   for (const char c : key) {
     h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
@@ -88,11 +90,16 @@ constexpr std::size_t kMaxDatagram = 65536;  // per-worker UDP receive buffer
 // stops reading requests until the engine has sent the backlog.
 constexpr std::size_t kSendHighWater = 256 * 1024;
 
-// Appends one reply frame (header, then payload) to a batch being built.
-void AppendFrame(std::string* out, const std::string& payload) {
-  std::uint8_t hdr[kFrameHeaderSize];
-  EncodeFrameHeader(hdr, static_cast<std::uint32_t>(payload.size()));
-  out->append(reinterpret_cast<const char*>(hdr), kFrameHeaderSize).append(payload);
+// Serves `request` and appends its reply frame to `out`: the header's room
+// first, then the store writes the payload straight in behind it, then the
+// header is filled in with the payload's length.
+void AppendReplyFrame(KvStripedStore& store, std::string_view request, std::uint64_t lane,
+                      std::string* out) {
+  const std::size_t header = out->size();
+  out->append(kFrameHeaderSize, '\0');
+  store.Serve(request, lane, out);
+  EncodeFrameHeader(reinterpret_cast<std::uint8_t*>(out->data() + header),
+                    static_cast<std::uint32_t>(out->size() - header - kFrameHeaderSize));
 }
 
 // Parks until the connection's send queue holds at most `limit` bytes.
@@ -151,11 +158,20 @@ void KvStripedStore::UnlockStripe(Stripe& s) { SpinUnlock(s.spin); }
 void KvStripedStore::LockLane(LatencyLane& l) { SpinLock(l.spin); }
 void KvStripedStore::UnlockLane(LatencyLane& l) { SpinUnlock(l.spin); }
 
-KvStripedStore::Stripe& KvStripedStore::StripeOf(const std::string& key) {
+KvStripedStore::Stripe& KvStripedStore::StripeOf(std::string_view key) {
   return *stripes_[KeyHash(key) & (stripes_.size() - 1)];
 }
 
-void KvStripedStore::Preload(const std::string& key, const std::string& value) {
+void KvStripedStore::Reserve(std::size_t keys) {
+  // FNV-1a spreads keys evenly over the stripes (the 10k preload keys land
+  // 1249-1251 per stripe of 8); an eighth more covers the unevenness.
+  const std::size_t share = keys / stripes_.size();
+  for (auto& stripe : stripes_) {
+    stripe->store.Reserve(share + share / 8 + 1);
+  }
+}
+
+void KvStripedStore::Preload(std::string_view key, std::string_view value) {
   StripeOf(key).store.Set(key, value);
 }
 
@@ -169,44 +185,51 @@ bool KvStripedStore::Delete(const std::string& key) {
 }
 
 std::string KvStripedStore::Serve(const std::string& request, std::uint64_t lane) {
+  std::string reply;
+  Serve(request, lane, &reply);
+  return reply;
+}
+
+void KvStripedStore::Serve(std::string_view request, std::uint64_t lane, std::string* reply) {
   const std::int64_t t0 = NowNs();
   KvOpKind kind = KvOpKind::kError;
-  std::string reply;
 
   const auto sp1 = request.find(' ');
-  const std::string op = request.substr(0, sp1);
-  if (op == "GET" && sp1 != std::string::npos) {
+  const std::string_view op = request.substr(0, sp1);
+  if (op == "GET" && sp1 != std::string_view::npos) {
     kind = KvOpKind::kGet;
-    const std::string key = request.substr(sp1 + 1);
+    const std::string_view key = request.substr(sp1 + 1);
     Stripe& stripe = StripeOf(key);
     // Spin sections are preemption-guarded: a signal-timer preemption while
     // holding the stripe would leave every other worker spinning on it for a
     // full scheduling round.
     Runtime::PreemptGuard guard;
     LockStripe(stripe);
-    auto value = stripe.store.Get(key);
+    if (const std::string* value = stripe.store.Find(key)) {
+      reply->append("VALUE ").append(*value);
+    } else {
+      reply->append("NOT_FOUND");
+    }
     UnlockStripe(stripe);
-    reply = value ? "VALUE " + *value : "NOT_FOUND";
-  } else if (op == "SET" && sp1 != std::string::npos) {
+  } else if (op == "SET" && sp1 != std::string_view::npos) {
     const auto sp2 = request.find(' ', sp1 + 1);
-    if (sp2 != std::string::npos) {
+    if (sp2 != std::string_view::npos) {
       kind = KvOpKind::kSet;
-      const std::string key = request.substr(sp1 + 1, sp2 - sp1 - 1);
+      const std::string_view key = request.substr(sp1 + 1, sp2 - sp1 - 1);
       Stripe& stripe = StripeOf(key);
       Runtime::PreemptGuard guard;
       LockStripe(stripe);
       stripe.store.Set(key, request.substr(sp2 + 1));
       UnlockStripe(stripe);
-      reply = "STORED";
+      reply->append("STORED");
     }
-  } else if (op == "SCAN" && sp1 != std::string::npos) {
+  } else if (op == "SCAN" && sp1 != std::string_view::npos) {
     const auto sp2 = request.find(' ', sp1 + 1);
-    if (sp2 != std::string::npos) {
+    if (sp2 != std::string_view::npos) {
       kind = KvOpKind::kScan;
-      const std::string start = request.substr(sp1 + 1, sp2 - sp1 - 1);
+      const std::string_view start = request.substr(sp1 + 1, sp2 - sp1 - 1);
       std::size_t limit = 0;
-      const std::string limit_str = request.substr(sp2 + 1);
-      for (const char c : limit_str) {
+      for (const char c : request.substr(sp2 + 1)) {
         if (c < '0' || c > '9') {
           limit = 0;
           break;
@@ -220,12 +243,12 @@ std::string KvStripedStore::Serve(const std::string& request, std::uint64_t lane
       if (limit == 0) {
         kind = KvOpKind::kError;
       } else {
-        reply = ScanReply(start, limit);
+        ScanReply(start, limit, reply);
       }
     }
   }
   if (kind == KvOpKind::kError) {
-    reply = "ERROR";
+    reply->append("ERROR");
   }
 
   const std::int64_t t1 = NowNs();
@@ -236,10 +259,9 @@ std::string KvStripedStore::Serve(const std::string& request, std::uint64_t lane
     lat.hist[static_cast<int>(kind)].Record(t1 - t0);
     UnlockLane(lat);
   }
-  return reply;
 }
 
-std::string KvStripedStore::ScanReply(const std::string& start, std::size_t limit) {
+void KvStripedStore::ScanReply(std::string_view start, std::size_t limit, std::string* reply) {
   // Each stripe holds a disjoint, hash-chosen subset of the keys, so the
   // first `limit` keys >= start overall are among the first `limit` of each
   // stripe. Take those runs one stripe at a time (never nested), so a heavy
@@ -267,19 +289,20 @@ std::string KvStripedStore::ScanReply(const std::string& start, std::size_t limi
     return runs[b.first][b.second].first < runs[a.first][a.second].first;
   };
   std::make_heap(heap.begin(), heap.end(), later);
-  std::string reply;
+  if (heap.empty()) {
+    reply->append("EMPTY");
+  }
   for (std::size_t taken = 0; taken < limit && !heap.empty(); taken++) {
     std::pop_heap(heap.begin(), heap.end(), later);
     auto& [run, pos] = heap.back();
     const auto& [key, value] = runs[run][pos];
-    reply.append(key).append(1, '=').append(value).append(1, ';');
+    reply->append(key).append(1, '=').append(value).append(1, ';');
     if (++pos < runs[run].size()) {
       std::push_heap(heap.begin(), heap.end(), later);
     } else {
       heap.pop_back();
     }
   }
-  return reply.empty() ? "EMPTY" : reply;
 }
 
 void KvStripedStore::MergeLatencies() {
@@ -324,8 +347,14 @@ KvServerNet::~KvServerNet() = default;
 
 void KvServerNet::Start() {
   SKYLOFT_CHECK(listeners_.empty()) << "Start() called twice";
+  // "user<i>" -> "profile-<i>", formatted in place: no temporary strings.
+  store_.Reserve(static_cast<std::size_t>(std::max(0, options_.preload_keys)));
+  char key[24] = "user";
+  char value[24] = "profile-";
   for (int i = 0; i < options_.preload_keys; i++) {
-    store_.Preload("user" + std::to_string(i), "profile-" + std::to_string(i));
+    char* const key_end = std::to_chars(key + 4, std::end(key), i).ptr;
+    char* const value_end = std::to_chars(value + 8, std::end(value), i).ptr;
+    store_.Preload(std::string_view(key, key_end), std::string_view(value, value_end));
   }
   for (int w = 0; w < rt_->workers(); w++) {
     IoEngine* engine = rt_->io_engine(w);
@@ -506,7 +535,7 @@ void KvServerNet::HandleConn(IoHandle* conn) {
     bool dead = reset;
     out.clear();
     while (!dead && decoder.Next(&payload) == FrameDecodeStatus::kFrame) {
-      AppendFrame(&out, store_.Serve(payload, lane));
+      AppendReplyFrame(store_, payload, lane, &out);
       tcp_requests_->Inc();
     }
     if (decoder.poisoned()) {
@@ -547,6 +576,7 @@ void KvServerNet::UdpLoop(Listener* listener) {
   const std::uint64_t lane = Runtime::Current()->id;
   const auto buf = std::make_unique_for_overwrite<char[]>(kMaxDatagram);
   std::string payload;
+  std::string reply;  // keeps its capacity across datagrams
   while (!stop_.load(std::memory_order_acquire)) {
     const unsigned ready = WaitForReadable(listener->udp);
     if (stop_.load(std::memory_order_acquire) || (ready & kIoError) != 0) {
@@ -565,7 +595,9 @@ void KvServerNet::UdpLoop(Listener* listener) {
       }
       // Best-effort reply: a full socket buffer or submission queue drops
       // it, exactly like a real UDP service under overload.
-      engine->SendTo(listener->udp, peer, EncodeFrame(store_.Serve(payload, lane)));
+      reply.clear();
+      AppendReplyFrame(store_, payload, lane, &reply);
+      engine->SendTo(listener->udp, peer, reply);
       udp_requests_->Inc();
     }
     if (handled == kUdpBatch) {

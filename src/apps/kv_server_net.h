@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/apps/kvstore.h"
@@ -65,13 +66,21 @@ class KvStripedStore {
  public:
   explicit KvStripedStore(int workers, int stripes_override = 0);
 
-  // Serves one request, recording service latency into the per-kind lane
-  // histograms. `lane` spreads latency recording across lanes (callers pass
-  // the uthread id); any value is safe.
+  // Serves one request and appends its reply to `*reply`, recording service
+  // latency into the per-kind lane histograms. `lane` spreads latency
+  // recording across lanes (callers pass the uthread id); any value is safe.
+  // A GET copies the value into `*reply` under the stripe lock, so a reply
+  // buffer with capacity to spare makes the call allocation-free.
+  void Serve(std::string_view request, std::uint64_t lane, std::string* reply);
+  // The same, returning the reply.
   std::string Serve(const std::string& request, std::uint64_t lane);
 
+  // Sizes every stripe for its share of `keys` keys plus some slack, so a
+  // preload of that many grows no table (single-threaded setup only).
+  void Reserve(std::size_t keys);
+
   // Direct store access for preloading (single-threaded setup only).
-  void Preload(const std::string& key, const std::string& value);
+  void Preload(std::string_view key, std::string_view value);
 
   // Removes `key` under its stripe lock (the text protocol has no delete).
   // Returns true if it was present.
@@ -99,10 +108,10 @@ class KvStripedStore {
     LatencyHistogram hist[4];  // indexed by KvOpKind
   };
 
-  SKYLOFT_NO_SWITCH Stripe& StripeOf(const std::string& key);
-  // SCAN body: the first `limit` pairs with key >= start in global key order
-  // ("k=v;k=v;..."), or "EMPTY".
-  std::string ScanReply(const std::string& start, std::size_t limit);
+  SKYLOFT_NO_SWITCH Stripe& StripeOf(std::string_view key);
+  // Appends the SCAN body: the first `limit` pairs with key >= start in
+  // global key order ("k=v;k=v;..."), or "EMPTY".
+  void ScanReply(std::string_view start, std::size_t limit, std::string* reply);
   SKYLOFT_NO_SWITCH static void SpinLock(std::atomic_flag& flag);
   SKYLOFT_NO_SWITCH static void SpinUnlock(std::atomic_flag& flag);
 

@@ -1,20 +1,12 @@
 #include "src/apps/kvstore.h"
 
 #include <algorithm>
-
-#include "src/base/logging.h"
+#include <numeric>
+#include <utility>
 
 namespace skyloft {
 
-KvStore::KvStore(std::size_t initial_buckets) {
-  std::size_t buckets = 16;
-  while (buckets < initial_buckets) {
-    buckets <<= 1;
-  }
-  slots_.resize(buckets);
-}
-
-std::uint64_t KvStore::Hash(const std::string& key) {
+std::uint32_t KvStore::Hash(std::string_view key) {
   // FNV-1a, then a splitmix finalizer for better high bits.
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const char c : key) {
@@ -24,129 +16,132 @@ std::uint64_t KvStore::Hash(const std::string& key) {
   h ^= h >> 30;
   h *= 0xbf58476d1ce4e5b9ULL;
   h ^= h >> 27;
-  return h;
+  return static_cast<std::uint32_t>(h >> 32);
 }
 
-std::size_t KvStore::Probe(const std::string& key, std::uint64_t hash, bool* found) const {
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t index = hash & mask;
-  std::size_t first_tombstone = slots_.size();
-  for (std::size_t step = 0; step < slots_.size(); step++) {
-    const Slot& slot = slots_[index];
-    if (slot.state == Slot::State::kEmpty) {
-      *found = false;
-      return first_tombstone != slots_.size() ? first_tombstone : index;
-    }
-    if (slot.state == Slot::State::kTombstone) {
-      if (first_tombstone == slots_.size()) {
-        first_tombstone = index;
-      }
-    } else if (slot.hash == hash && slot.key == key) {
-      *found = true;
-      return index;
-    }
-    index = (index + 1) & mask;
+void KvStore::Reserve(std::size_t keys) {
+  entries_.reserve(keys);
+  if ((keys + tombstones_) * 4 > index_.size() * 3) {
+    Rehash(keys);
   }
-  *found = false;
-  SKYLOFT_CHECK(first_tombstone != slots_.size()) << "hash table full";
-  return first_tombstone;
 }
 
-void KvStore::Grow() {
-  std::vector<Slot> old = std::move(slots_);
-  slots_.clear();
-  slots_.resize(old.size() * 2);
-  size_ = 0;
+void KvStore::Rehash(std::size_t keys) {
+  std::size_t buckets = 16;
+  while (buckets * 3 < keys * 4) {  // load factor at most 3/4
+    buckets <<= 1;
+  }
+  const std::vector<Bucket> old = std::exchange(index_, std::vector<Bucket>(buckets, {0, kEmpty}));
   tombstones_ = 0;
-  order_valid_ = false;  // every key moves to a new slot
-  for (Slot& slot : old) {
-    if (slot.state == Slot::State::kFull) {
-      bool found = false;
-      const std::size_t index = Probe(slot.key, slot.hash, &found);
-      SKYLOFT_DCHECK(!found);
-      slots_[index] = std::move(slot);
-      size_++;
+  for (const Bucket& bucket : old) {
+    if (bucket.entry < kTombstone) {
+      std::size_t i = bucket.tag & (buckets - 1);
+      while (index_[i].entry != kEmpty) {
+        i = (i + 1) & (buckets - 1);
+      }
+      index_[i] = bucket;
     }
   }
 }
 
-bool KvStore::Set(const std::string& key, const std::string& value) {
-  if ((size_ + tombstones_ + 1) * 4 > slots_.size() * 3) {
-    Grow();
+std::size_t KvStore::Probe(std::string_view key, std::uint32_t tag, bool* found) const {
+  *found = false;
+  if (index_.empty()) {
+    return 0;
   }
-  const std::uint64_t hash = Hash(key);
+  // Set keeps at least a quarter of the buckets empty, so the probe ends.
+  const std::size_t mask = index_.size() - 1;
+  std::size_t insert = index_.size();
+  for (std::size_t i = tag & mask;; i = (i + 1) & mask) {
+    const Bucket& bucket = index_[i];
+    if (bucket.entry == kEmpty) {
+      return insert != index_.size() ? insert : i;
+    }
+    if (bucket.entry == kTombstone) {
+      insert = insert != index_.size() ? insert : i;
+    } else if (bucket.tag == tag && entries_[bucket.entry].key == key) {
+      *found = true;
+      return i;
+    }
+  }
+}
+
+bool KvStore::Set(std::string_view key, std::string_view value) {
+  if ((entries_.size() + tombstones_ + 1) * 4 > index_.size() * 3) {
+    Rehash(entries_.size() + entries_.size() / 2 + 1);
+  }
+  const std::uint32_t tag = Hash(key);
   bool found = false;
-  const std::size_t index = Probe(key, hash, &found);
-  Slot& slot = slots_[index];
+  Bucket& bucket = index_[Probe(key, tag, &found)];
   if (found) {
-    slot.value = value;
+    entries_[bucket.entry].value.assign(value);
     return false;
   }
-  if (slot.state == Slot::State::kTombstone) {
+  if (bucket.entry == kTombstone) {
     tombstones_--;
   }
-  slot.state = Slot::State::kFull;
-  slot.hash = hash;
-  slot.key = key;
-  slot.value = value;
-  size_++;
+  bucket = {tag, static_cast<std::uint32_t>(entries_.size())};
+  entries_.push_back({std::string(key), std::string(value)});
   order_valid_ = false;
   return true;
 }
 
-std::optional<std::string> KvStore::Get(const std::string& key) const {
+const std::string* KvStore::Find(std::string_view key) const {
   bool found = false;
-  const std::size_t index = Probe(key, Hash(key), &found);
-  if (!found) {
-    return std::nullopt;
-  }
-  return slots_[index].value;
+  const std::size_t i = Probe(key, Hash(key), &found);
+  return found ? &entries_[index_[i].entry].value : nullptr;
 }
 
-bool KvStore::Delete(const std::string& key) {
+std::optional<std::string> KvStore::Get(std::string_view key) const {
+  const std::string* value = Find(key);
+  return value != nullptr ? std::optional<std::string>(*value) : std::nullopt;
+}
+
+bool KvStore::Delete(std::string_view key) {
   bool found = false;
-  const std::size_t index = Probe(key, Hash(key), &found);
+  const std::size_t at = Probe(key, Hash(key), &found);
   if (!found) {
     return false;
   }
-  Slot& slot = slots_[index];
-  slot.state = Slot::State::kTombstone;
-  slot.key.clear();
-  slot.value.clear();
-  size_--;
+  const std::uint32_t hole = index_[at].entry;
+  index_[at].entry = kTombstone;
   tombstones_++;
+  // Swap-remove: the last entry moves into the hole, and its bucket follows.
+  const auto last = static_cast<std::uint32_t>(entries_.size() - 1);
+  if (hole != last) {
+    const std::size_t mask = index_.size() - 1;
+    std::size_t i = Hash(entries_[last].key) & mask;
+    while (index_[i].entry != last) {
+      i = (i + 1) & mask;
+    }
+    index_[i].entry = hole;
+    entries_[hole] = std::move(entries_[last]);
+  }
+  entries_.pop_back();
   order_valid_ = false;
   return true;
 }
 
-void KvStore::BuildOrder() const {
-  order_.clear();
-  order_.reserve(size_);
-  for (std::size_t i = 0; i < slots_.size(); i++) {
-    if (slots_[i].state == Slot::State::kFull) {
-      order_.push_back(static_cast<std::uint32_t>(i));
-    }
-  }
-  std::sort(order_.begin(), order_.end(),
-            [this](std::uint32_t a, std::uint32_t b) { return slots_[a].key < slots_[b].key; });
-  order_valid_ = true;
-}
-
-std::vector<std::pair<std::string, std::string>> KvStore::Scan(const std::string& start,
+std::vector<std::pair<std::string, std::string>> KvStore::Scan(std::string_view start,
                                                                std::size_t limit) const {
-  if (!order_valid_) {
-    BuildOrder();
+  if (!order_valid_) {  // refill the view with every entry number, sorted by key
+    order_.resize(entries_.size());
+    std::iota(order_.begin(), order_.end(), 0u);
+    std::sort(order_.begin(), order_.end(), [this](std::uint32_t a, std::uint32_t b) {
+      return entries_[a].key < entries_[b].key;
+    });
+    order_valid_ = true;
   }
   auto it = std::lower_bound(order_.begin(), order_.end(), start,
-                             [this](std::uint32_t index, const std::string& key) {
-                               return slots_[index].key < key;
+                             [this](std::uint32_t entry, std::string_view key) {
+                               return entries_[entry].key < key;
                              });
   const auto count = std::min<std::size_t>(limit, static_cast<std::size_t>(order_.end() - it));
   std::vector<std::pair<std::string, std::string>> out;
   out.reserve(count);
   for (const auto end = it + static_cast<std::ptrdiff_t>(count); it != end; ++it) {
-    const Slot& slot = slots_[*it];
-    out.emplace_back(slot.key, slot.value);
+    const Entry& entry = entries_[*it];
+    out.emplace_back(entry.key, entry.value);
   }
   return out;
 }

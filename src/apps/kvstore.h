@@ -2,9 +2,12 @@
 // Memcached / RocksDB servers of §5.3. Used by the host-runtime examples
 // (actual hash lookups on actual threads) and by the application tests.
 //
-// Open addressing with linear probing. Keys live only in the hash slots; the
-// ordered view SCAN needs is a sorted vector of full-slot indices, rebuilt
-// lazily on the first Scan() after the key set changed (DESIGN.md §14).
+// Entries live densely in one vector; an open-addressing index of 8-byte
+// buckets (32-bit hash tag, 32-bit entry number) finds them by linear
+// probing. Delete swap-removes the last entry into the hole. The ordered view
+// SCAN needs is a sorted vector of entry numbers, rebuilt lazily on the first
+// Scan() after a new key or a Delete; overwrites and index growth keep it
+// (DESIGN.md §14). Nothing is allocated before the first Set or Reserve.
 // Not thread-safe by itself, and that includes Scan(), which may rebuild
 // the view: callers serialize through the runtime's mutex (as the example
 // server does) or shard per core.
@@ -14,51 +17,60 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace skyloft {
 
 class KvStore {
  public:
-  explicit KvStore(std::size_t initial_buckets = 1024);
+  // Sizes the entries and the index for `keys` keys, so that inserting that
+  // many grows neither.
+  void Reserve(std::size_t keys);
 
   // Inserts or overwrites. Returns true if the key was new.
-  bool Set(const std::string& key, const std::string& value);
+  bool Set(std::string_view key, std::string_view value);
 
-  std::optional<std::string> Get(const std::string& key) const;
+  // The stored value, or nullptr. Valid until the next Set or Delete.
+  const std::string* Find(std::string_view key) const;
 
-  bool Delete(const std::string& key);
+  std::optional<std::string> Get(std::string_view key) const;
+
+  bool Delete(std::string_view key);
 
   // Ordered range scan: up to `limit` (key, value) pairs with key >= start.
   // Costs one binary search plus `limit` steps once the ordered view is
-  // built; an insert of a new key, a Delete or a Grow invalidates the view,
-  // an overwrite does not.
-  std::vector<std::pair<std::string, std::string>> Scan(const std::string& start,
+  // built; a new key or a Delete invalidates the view, an overwrite or an
+  // index growth does not.
+  std::vector<std::pair<std::string, std::string>> Scan(std::string_view start,
                                                         std::size_t limit) const;
 
-  std::size_t Size() const { return size_; }
+  std::size_t Size() const { return entries_.size(); }
 
  private:
-  struct Slot {
-    enum class State : std::uint8_t { kEmpty, kFull, kTombstone };
-    State state = State::kEmpty;
-    std::uint64_t hash = 0;
+  struct Entry {
     std::string key;
     std::string value;
   };
+  // `entry` is an index into `entries_`, or one of the two sentinels.
+  struct Bucket {
+    std::uint32_t tag;
+    std::uint32_t entry;
+  };
+  static constexpr std::uint32_t kEmpty = UINT32_MAX;
+  static constexpr std::uint32_t kTombstone = UINT32_MAX - 1;
 
-  static std::uint64_t Hash(const std::string& key);
-  void Grow();
-  // Returns slot index for key: the match if present, else the insert slot.
-  std::size_t Probe(const std::string& key, std::uint64_t hash, bool* found) const;
-  // Refills `order_` with the full slots' indices, sorted by key.
-  void BuildOrder() const;
+  static std::uint32_t Hash(std::string_view key);
+  // Rebuilds the index with room for `keys` keys, dropping tombstones.
+  void Rehash(std::size_t keys);
+  // Bucket holding `key`, or the bucket to insert it at (*found = false).
+  std::size_t Probe(std::string_view key, std::uint32_t tag, bool* found) const;
 
-  std::vector<Slot> slots_;
-  std::size_t size_ = 0;
+  std::vector<Entry> entries_;
+  std::vector<Bucket> index_;
   std::size_t tombstones_ = 0;
   // Ordered view for SCAN (RocksDB-style range queries): indices into
-  // `slots_`, valid only while `order_valid_`.
+  // `entries_`, valid only while `order_valid_`.
   mutable std::vector<std::uint32_t> order_;
   mutable bool order_valid_ = false;
 };

@@ -24,13 +24,14 @@ SKYLOFT_MAY_SWITCH unsigned WaitForIo(IoHandle* handle, unsigned consume,
     // BEFORE exchanging the waiter slot, so either we see the latch here or
     // the engine sees us and unparks. A double-win (both happen) costs one
     // stale unpark token, which every Park loop tolerates.
-    waiter_slot->store(Runtime::Current(), std::memory_order_release);
-    // Full fence so the re-check below cannot be hoisted above the waiter
-    // publish (StoreLoad reordering is legal even on x86, and would let both
-    // sides miss each other). The engine side needs no fence: its fetch_or
-    // and exchange are RMWs, which always observe the latest slot value.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    ready = handle->ready.load(std::memory_order_acquire);
+    //
+    // The publish is a seq_cst RMW, not a store plus a fence: the re-check
+    // cannot be hoisted above it (StoreLoad reordering is legal even on x86,
+    // and would let both sides miss each other), and if the engine's exchange
+    // came first, ours reads it and so acquires the latch it released. Both
+    // orders are ones ThreadSanitizer models; it does not model fences.
+    waiter_slot->exchange(Runtime::Current(), std::memory_order_seq_cst);
+    ready = handle->ready.load(std::memory_order_seq_cst);
     if (ready & wake_mask) {
       waiter_slot->store(nullptr, std::memory_order_release);
       handle->ready.fetch_and(~consume, std::memory_order_acq_rel);

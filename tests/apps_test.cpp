@@ -2,8 +2,13 @@
 // the real KV store.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
+#include <optional>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "src/simcore/simulation.h"
 #include "src/apps/batch_app.h"
@@ -31,8 +36,8 @@ TEST(KvStoreTest, SetGetDelete) {
   EXPECT_EQ(kv.Size(), 0u);
 }
 
-TEST(KvStoreTest, GrowsPastInitialCapacity) {
-  KvStore kv(16);
+TEST(KvStoreTest, GrowsFromEmpty) {
+  KvStore kv;
   for (int i = 0; i < 10'000; i++) {
     kv.Set("key" + std::to_string(i), std::to_string(i * 3));
   }
@@ -43,7 +48,7 @@ TEST(KvStoreTest, GrowsPastInitialCapacity) {
 }
 
 TEST(KvStoreTest, TombstoneReuse) {
-  KvStore kv(16);
+  KvStore kv;
   for (int round = 0; round < 200; round++) {
     const std::string key = "k" + std::to_string(round % 5);
     kv.Set(key, "v");
@@ -77,9 +82,9 @@ TEST(KvStoreTest, ScanSkipsDeleted) {
 }
 
 TEST(KvStoreTest, ScanAfterGrowAndDeleteMatchesOrderedModel) {
-  // The ordered view is built by the first Scan and must be rebuilt after a
-  // Grow (every key moves slot), an insert or a Delete.
-  KvStore kv(16);
+  // The ordered view is built by the first Scan and must be rebuilt after an
+  // insert or a Delete; index growth keeps it.
+  KvStore kv;
   std::map<std::string, std::string> model;
   const auto check = [&] {
     const auto result = kv.Scan("", 1000);
@@ -96,7 +101,7 @@ TEST(KvStoreTest, ScanAfterGrowAndDeleteMatchesOrderedModel) {
     model["key" + std::to_string(i)] = "v" + std::to_string(i);
   }
   check();
-  for (int i = 10; i < 300; i++) {  // grows 16 -> 512 slots
+  for (int i = 10; i < 300; i++) {  // grows the index 16 -> 512 buckets
     kv.Set("key" + std::to_string(i), "v" + std::to_string(i));
     model["key" + std::to_string(i)] = "v" + std::to_string(i);
   }
@@ -108,6 +113,115 @@ TEST(KvStoreTest, ScanAfterGrowAndDeleteMatchesOrderedModel) {
   kv.Set("key1", "overwritten");
   model["key1"] = "overwritten";
   check();
+}
+
+// Seeded random Set, overwrite, Delete, Get and Scan against a std::map
+// model. A small key space makes keys come back after a Delete, so the run
+// churns tombstones and looks up and scans swap-removed entries.
+void ExpectMatchesModel(KvStore& kv, std::uint64_t seed, int ops, int key_space) {
+  std::mt19937_64 rng(seed);
+  std::map<std::string, std::string> model;
+  for (int op = 0; op < ops; op++) {
+    const std::string key = "k" + std::to_string(rng() % static_cast<std::uint64_t>(key_space));
+    const std::uint64_t action = rng() % 8;
+    if (action < 3) {
+      const std::string value = "v" + std::to_string(op);
+      ASSERT_EQ(kv.Set(key, value), model.insert_or_assign(key, value).second) << key;
+    } else if (action < 5) {
+      ASSERT_EQ(kv.Delete(key), model.erase(key) == 1) << key;
+    } else if (action < 7) {
+      const auto it = model.find(key);
+      ASSERT_EQ(kv.Get(key), it == model.end() ? std::nullopt : std::optional(it->second)) << key;
+    } else {
+      const std::size_t limit = 1 + rng() % 20;
+      const auto result = kv.Scan(key, limit);
+      auto it = model.lower_bound(key);
+      for (const auto& pair : result) {
+        ASSERT_TRUE(it != model.end());
+        ASSERT_EQ(pair.first, it->first);
+        ASSERT_EQ(pair.second, it->second);
+        ++it;
+      }
+      ASSERT_TRUE(result.size() == limit || it == model.end()) << "short scan from " << key;
+    }
+    ASSERT_EQ(kv.Size(), model.size());
+  }
+  const auto all = kv.Scan("", model.size() + 1);
+  ASSERT_EQ(all.size(), model.size());
+  EXPECT_TRUE(std::equal(all.begin(), all.end(), model.begin(), [](const auto& a, const auto& b) {
+    return a.first == b.first && a.second == b.second;
+  }));
+}
+
+TEST(KvStoreTest, MatchesModelGrownFromEmpty) {
+  for (std::uint64_t seed = 1; seed <= 4; seed++) {
+    KvStore kv;
+    ExpectMatchesModel(kv, seed, 20'000, 50);
+    KvStore wide;
+    ExpectMatchesModel(wide, seed, 6'000, 2'000);
+  }
+}
+
+TEST(KvStoreTest, MatchesModelReserved) {
+  for (std::uint64_t seed = 11; seed <= 14; seed++) {
+    KvStore kv;
+    kv.Reserve(1'000);
+    ExpectMatchesModel(kv, seed, 8'000, 1'000);
+  }
+}
+
+TEST(KvStoreTest, SwapRemovedEntryStaysFindable) {
+  KvStore kv;
+  kv.Set("a", "1");
+  kv.Set("b", "2");
+  kv.Set("c", "3");
+  ASSERT_EQ(kv.Scan("", 10).size(), 3u);  // builds the view
+  // "a" is the first entry, so "c", the last, moves into its place.
+  ASSERT_TRUE(kv.Delete("a"));
+  EXPECT_EQ(kv.Get("c"), "3");
+  ASSERT_NE(kv.Find("c"), nullptr);
+  EXPECT_EQ(*kv.Find("c"), "3");
+  using Pairs = std::vector<std::pair<std::string, std::string>>;
+  EXPECT_EQ(kv.Scan("", 10), (Pairs{{"b", "2"}, {"c", "3"}}));
+  EXPECT_FALSE(kv.Set("c", "33"));
+  EXPECT_EQ(kv.Scan("c", 10), (Pairs{{"c", "33"}}));
+  // Deleting the last entry moves nothing.
+  ASSERT_TRUE(kv.Delete("c"));
+  EXPECT_EQ(kv.Scan("", 10), (Pairs{{"b", "2"}}));
+  EXPECT_EQ(kv.Find("c"), nullptr);
+}
+
+TEST(KvStoreTest, TombstoneChurnWithFreshKeys) {
+  // Every round inserts a key never seen before and deletes it again, so
+  // tombstones pile up until the index rebuilds itself at the same size.
+  KvStore kv;
+  kv.Set("stay", "s");
+  for (int i = 0; i < 10'000; i++) {
+    const std::string key = "fresh" + std::to_string(i);
+    ASSERT_TRUE(kv.Set(key, "v"));
+    ASSERT_TRUE(kv.Delete(key));
+  }
+  EXPECT_EQ(kv.Size(), 1u);
+  EXPECT_EQ(kv.Get("stay"), "s");
+  EXPECT_EQ(kv.Get("fresh9999"), std::nullopt);
+}
+
+TEST(KvStoreTest, ScanAfterIndexGrowthWithoutNewKey) {
+  // Growing the index moves no entry, so the view built before it stays
+  // valid and the next Scan reads it as it is.
+  KvStore kv;
+  for (int i = 0; i < 10; i++) {
+    kv.Set("key" + std::to_string(i), "v" + std::to_string(i));
+  }
+  const auto before = kv.Scan("key3", 4);
+  kv.Reserve(10'000);
+  EXPECT_EQ(kv.Scan("key3", 4), before);
+  ASSERT_EQ(before.size(), 4u);
+  EXPECT_EQ(before[0].first, "key3");
+  EXPECT_EQ(before[3].first, "key6");
+  for (int i = 0; i < 10; i++) {
+    EXPECT_EQ(kv.Get("key" + std::to_string(i)), "v" + std::to_string(i));
+  }
 }
 
 // ---- Workload mixes ----

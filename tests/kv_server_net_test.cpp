@@ -1,9 +1,10 @@
 // Tests for the networked KV server's store and request path
 // (src/apps/kv_server_net): SCAN over the striped store returns the global
 // first `limit` keys >= start, in key order, and the same holds end to end
-// over real loopback TCP; UDP serves one frame per datagram and drops broken
-// ones; pipelined frames followed by a half-close get every reply, in order,
-// before the server closes. The loopback tests run once per I/O backend: the
+// over real loopback TCP; a GET through the appending Serve into a reused
+// buffer makes no allocation; UDP serves one frame per datagram and drops
+// broken ones; pipelined frames followed by a half-close get every reply, in
+// order, before the server closes. The loopback tests run once per I/O backend: the
 // epoll engine serves the data calls with syscalls, the io_uring engine with
 // completions.
 #include <arpa/inet.h>
@@ -13,8 +14,11 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <map>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,6 +28,30 @@
 #include "src/apps/kv_server_net.h"
 #include "src/net/frame.h"
 #include "src/runtime/uthread.h"
+
+// Allocation counter for the no-allocation gate: the binary's own operator
+// new, counting only on a thread that armed it.
+namespace {
+thread_local bool t_count_news = false;
+thread_local std::uint64_t t_news = 0;
+
+void* CountedNew(std::size_t n) {
+  if (t_count_news) {
+    t_news++;
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return CountedNew(n); }
+void* operator new[](std::size_t n) { return CountedNew(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace skyloft {
 namespace {
@@ -99,6 +127,39 @@ TEST(KvStripedStoreTest, ScanRejectsMalformedLimits) {
   EXPECT_EQ(store.Serve("SCAN k000 0", 0), "ERROR");
   EXPECT_EQ(store.Serve("SCAN k000 x", 0), "ERROR");
   EXPECT_EQ(store.Serve("SCAN k000", 0), "ERROR");
+}
+
+TEST(KvStripedStoreTest, GetAppendsWithoutAllocating) {
+  KvStripedStore store(/*workers=*/2);
+  store.Reserve(1000);
+  // Values past the small-string buffer, so any copy of one would allocate.
+  for (int i = 0; i < 1000; i++) {
+    store.Preload(KeyName(i), "a-longer-value-" + std::to_string(i));
+  }
+  std::vector<std::string> requests;
+  for (int i = 0; i < 1000; i++) {
+    requests.push_back(i % 10 == 0 ? "GET missing" : "GET " + KeyName(i * 7 % 1000));
+  }
+  std::string reply;
+  // Warm-up. The GET of a 4 MiB key hashes for milliseconds, so the lane's
+  // latency histogram, which grows by use, already spans any service time
+  // the window below can record.
+  store.Serve("GET " + std::string(4 << 20, 'x'), 0, &reply);
+  EXPECT_EQ(reply, "NOT_FOUND");
+  for (const std::string& request : requests) {
+    reply.clear();
+    store.Serve(request, 0, &reply);
+  }
+
+  t_news = 0;
+  t_count_news = true;
+  for (const std::string& request : requests) {
+    reply.clear();
+    store.Serve(request, 0, &reply);
+  }
+  t_count_news = false;
+  EXPECT_EQ(t_news, 0u) << "operator new calls in 1000 GETs";
+  EXPECT_EQ(reply, "VALUE a-longer-value-" + std::to_string(999 * 7 % 1000));
 }
 
 // Sends each request as one frame over a blocking loopback socket and
