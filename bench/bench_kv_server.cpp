@@ -13,12 +13,11 @@
 //     *scheduled* send instant, so server queueing delay is charged to the
 //     server — the tail-at-scale methodology of Fig. 7/8).
 //
-// Each point runs under both host-scheduler drivers: the lock-free
-// two-level-runqueue work stealer and the force_locked shard-mutex
-// baseline, making the scheduler path cost visible in p99/p999. The whole
-// sweep runs once per data path — completion (a kIoUring engine: multishot
-// recv / provided buffers / async sends) vs readiness (a kEpoll engine) —
-// with a syscalls/request column computed from the engines' syscall counters.
+// The whole sweep runs once per data path — completion (a kIoUring engine:
+// multishot recv / provided buffers / async sends) vs readiness (a kEpoll
+// engine) — on the runtime's default scheduler, with a syscalls/request
+// column computed from the engines' syscall counters and an
+// allocations/request column from this binary's counting operator new.
 //
 // The connection sweep includes a many-connection point (10k in --smoke,
 // 100k in --full if the fd limit allows) to exercise uthread-per-connection
@@ -27,7 +26,8 @@
 //
 // Every SCAN reply is checked (at most the asked number of pairs, keys in
 // ascending order); the bench exits non-zero if any fails, as it does when
-// a completion-path point breaks the syscalls/request gate.
+// a completion-path closed-loop point breaks the syscalls/request gate or a
+// closed-loop point on either path breaks the allocations/request gate.
 //
 // Emits BENCH_kv_server.json (schema in EXPERIMENTS.md).
 //
@@ -48,9 +48,11 @@
 #include <csignal>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <memory>
+#include <new>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -62,6 +64,27 @@
 #include "src/net/frame.h"
 #include "src/runtime/sync.h"
 #include "src/runtime/uthread.h"
+
+// Every operator new of this process, on any thread: the server's
+// allocations, since the client pool runs in a forked child.
+namespace {
+std::atomic<std::uint64_t> g_news{0};
+
+void* CountedNew(std::size_t n) {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return CountedNew(n); }
+void* operator new[](std::size_t n) { return CountedNew(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace skyloft {
 namespace {
@@ -688,143 +711,160 @@ int main(int argc, char** argv) {
   reporter.MetaStr("syscall_convention",
                    "syscalls/request = (io_uring_enter + read + write + accept) / served "
                    "requests over the whole point (warmup included on both sides)");
+  reporter.MetaStr("alloc_convention",
+                   "allocs/request = server-process operator new calls / served requests "
+                   "over the whole point (warmup and connection setup included)");
 
   // Data-path sweep: each point runs twice — once on the completion path
   // (kIoUring: multishot recv + provided buffers + async sends, batched
   // submission) and once on the readiness baseline (kEpoll).
 
   PrintHeader("kv_server over loopback TCP",
-              {"path", "policy", "mode", "conns", "offered", "achieved", "p99_ns", "sys/req"});
+              {"path", "mode", "conns", "offered", "achieved", "p99_ns", "sys/req", "allocs/req"});
 
   bool syscall_gate_failed = false;
   bool scan_gate_failed = false;
+  bool alloc_gate_failed = false;
   for (const bool completion_on : {true, false}) {
-    for (const bool force_locked : {false, true}) {
-      for (const PointSpec& spec : points) {
-        LoadPointConfig cfg;
-        cfg.open_loop = std::string(spec.mode) == "open";
-        cfg.connections = std::min(spec.connections, conn_budget);
-        if (cfg.connections < spec.connections) {
-          std::fprintf(stderr, "point %s/%d clamped to %d conns by fd limit %zu\n", spec.mode,
-                       spec.connections, cfg.connections, fd_limit);
-        }
-        cfg.offered_rps = spec.offered_rps;
-        cfg.warmup_ns = smoke ? 300'000'000 : 500'000'000;
-        cfg.measure_ns = smoke ? 1'500'000'000 : 5'000'000'000;
-
-        RuntimeOptions ropts;
-        ropts.workers = workers;
-        // Small stacks: handlers are shallow (recv/serve/send), and at 10k+
-        // uthreads the default 64 KB each would be the dominant allocation.
-        ropts.stack_size = 16 * 1024;
-        ropts.io_engine = true;
-        ropts.io.backend = completion_on ? IoEngineOptions::Backend::kIoUring
-                                         : IoEngineOptions::Backend::kEpoll;
-        ropts.sched.force_locked = force_locked;
-
-        Runtime rt(ropts);
-        // What the engine actually runs: a kernel that fails the io_uring
-        // probe leaves a kIoUring engine on epoll, and the row is reported as
-        // what it ran.
-        const bool completion_active =
-            rt.io_engine(0) != nullptr && rt.io_engine(0)->completion();
-        if (completion_on && !completion_active) {
-          std::fprintf(stderr, "completion path unavailable (kernel/probe); "
-                               "this pass measures readiness\n");
-        }
-        const char* data_path = completion_active ? "completion" : "readiness";
-        LoadPointOutcome out;
-        std::uint64_t server_requests = 0;
-        std::uint64_t peer_resets = 0;
-        std::uint64_t frame_errors = 0;
-        std::uint64_t io_syscalls = 0;
-        std::uint64_t scan_replies = 0;
-        std::uint64_t scan_wrong = 0;
-        rt.Run([&] {
-          KvServerNetOptions sopts;
-          sopts.udp = false;  // TCP sweep; KvServerNetTest.UdpRoundTrip covers UDP
-          KvServerNet server(&rt, sopts);
-          server.Start();
-          const std::uint64_t sys_before = rt.io_data_syscalls();
-          std::vector<LoadPointOutcome> reps;
-          for (int rep = 0; rep < spec.reps; rep++) {
-            reps.push_back(RunPoint(&rt, server.tcp_port(), cfg));
-            scan_replies += reps.back().scan_replies;
-            scan_wrong += reps.back().scan_wrong;
-          }
-          out = MedianByP99(std::move(reps));
-          io_syscalls = rt.io_data_syscalls() - sys_before;
-          server_requests = server.tcp_requests();
-          peer_resets = server.peer_resets();
-          frame_errors = server.frame_errors();
-          server.Stop();
-        });
-        const double sys_per_req =
-            static_cast<double>(io_syscalls) /
-            static_cast<double>(std::max<std::uint64_t>(1, server_requests));
-        // The CI gate from EXPERIMENTS.md: the completion path's steady state
-        // must stay under half a syscall per request at the closed-loop
-        // points (open-loop low-rate points legitimately approach one enter
-        // per response — there is nothing to batch a submission with).
-        if (smoke && completion_active && !cfg.open_loop && sys_per_req >= 0.5) {
-          std::fprintf(stderr,
-                       "SYSCALL GATE FAILED: completion path %s/%d conns measured %.3f "
-                       "syscalls/request (gate: < 0.5)\n",
-                       spec.mode, cfg.connections, sys_per_req);
-          syscall_gate_failed = true;
-        }
-        // SCAN correctness gate: every SCAN reply of every repetition must
-        // hold at most the asked number of pairs, keys ascending.
-        if (scan_wrong > 0) {
-          std::fprintf(stderr,
-                       "SCAN GATE FAILED: %s/%d conns: %llu of %llu SCAN replies over the "
-                       "limit or out of key order\n",
-                       spec.mode, cfg.connections, static_cast<unsigned long long>(scan_wrong),
-                       static_cast<unsigned long long>(scan_replies));
-          scan_gate_failed = true;
-        }
-
-        const char* policy = force_locked ? "locked" : "ws-lockfree";
-        PrintCell(data_path);
-        PrintCell(policy);
-        PrintCell(spec.mode);
-        PrintCell(static_cast<std::int64_t>(cfg.connections));
-        PrintCell(cfg.open_loop ? cfg.offered_rps : 0.0);
-        PrintCell(out.achieved_rps);
-        PrintCell(out.p99_ns);
-        PrintCell(sys_per_req);
-        EndRow();
-
-        reporter.AddRow()
-            .Str("data_path", data_path)
-            .Str("policy", policy)
-            .Str("mode", spec.mode)
-            .Int("connections", cfg.connections)
-            .Int("connected", out.connected)
-            .Num("offered_rps", cfg.open_loop ? cfg.offered_rps : 0.0)
-            .Num("achieved_rps", out.achieved_rps)
-            .Int("p50_ns", out.p50_ns)
-            .Int("p99_ns", out.p99_ns)
-            .Int("p999_ns", out.p999_ns)
-            .Int("replies", static_cast<std::int64_t>(out.replies))
-            .Int("client_errors", static_cast<std::int64_t>(out.errors))
-            .Int("shed_sends", static_cast<std::int64_t>(out.shed))
-            .Int("server_requests", static_cast<std::int64_t>(server_requests))
-            .Int("server_peer_resets", static_cast<std::int64_t>(peer_resets))
-            .Int("server_frame_errors", static_cast<std::int64_t>(frame_errors))
-            .Int("io_syscalls", static_cast<std::int64_t>(io_syscalls))
-            .Num("syscalls_per_request", sys_per_req)
-            .Int("scan_replies", static_cast<std::int64_t>(scan_replies))
-            .Int("scan_wrong", static_cast<std::int64_t>(scan_wrong))
-            .Int("steals", static_cast<std::int64_t>(rt.steals()))
-            .Int("preemptions", static_cast<std::int64_t>(rt.preemptions()))
-            .Str("sched_driver", rt.lock_free_sched() ? "lock-free" : "shard-mutex");
+    for (const PointSpec& spec : points) {
+      LoadPointConfig cfg;
+      cfg.open_loop = std::string(spec.mode) == "open";
+      cfg.connections = std::min(spec.connections, conn_budget);
+      if (cfg.connections < spec.connections) {
+        std::fprintf(stderr, "point %s/%d clamped to %d conns by fd limit %zu\n", spec.mode,
+                     spec.connections, cfg.connections, fd_limit);
       }
+      cfg.offered_rps = spec.offered_rps;
+      cfg.warmup_ns = smoke ? 300'000'000 : 500'000'000;
+      cfg.measure_ns = smoke ? 1'500'000'000 : 5'000'000'000;
+
+      RuntimeOptions ropts;
+      ropts.workers = workers;
+      // Small stacks: handlers are shallow (recv/serve/send), and at 10k+
+      // uthreads the default 64 KB each would be the dominant allocation.
+      ropts.stack_size = 16 * 1024;
+      ropts.io_engine = true;
+      ropts.io.backend = completion_on ? IoEngineOptions::Backend::kIoUring
+                                       : IoEngineOptions::Backend::kEpoll;
+
+      Runtime rt(ropts);
+      // What the engine actually runs: a kernel that fails the io_uring
+      // probe leaves a kIoUring engine on epoll, and the row is reported as
+      // what it ran.
+      const bool completion_active =
+          rt.io_engine(0) != nullptr && rt.io_engine(0)->completion();
+      if (completion_on && !completion_active) {
+        std::fprintf(stderr, "completion path unavailable (kernel/probe); "
+                             "this pass measures readiness\n");
+      }
+      const char* data_path = completion_active ? "completion" : "readiness";
+      LoadPointOutcome out;
+      std::uint64_t server_requests = 0;
+      std::uint64_t peer_resets = 0;
+      std::uint64_t frame_errors = 0;
+      std::uint64_t io_syscalls = 0;
+      std::uint64_t allocs = 0;
+      std::uint64_t scan_replies = 0;
+      std::uint64_t scan_wrong = 0;
+      rt.Run([&] {
+        KvServerNetOptions sopts;
+        sopts.udp = false;  // TCP sweep; KvServerNetTest.UdpRoundTrip covers UDP
+        KvServerNet server(&rt, sopts);
+        server.Start();
+        const std::uint64_t sys_before = rt.io_data_syscalls();
+        const std::uint64_t news_before = g_news.load(std::memory_order_relaxed);
+        std::vector<LoadPointOutcome> reps;
+        for (int rep = 0; rep < spec.reps; rep++) {
+          reps.push_back(RunPoint(&rt, server.tcp_port(), cfg));
+          scan_replies += reps.back().scan_replies;
+          scan_wrong += reps.back().scan_wrong;
+        }
+        out = MedianByP99(std::move(reps));
+        io_syscalls = rt.io_data_syscalls() - sys_before;
+        allocs = g_news.load(std::memory_order_relaxed) - news_before;
+        server_requests = server.tcp_requests();
+        peer_resets = server.peer_resets();
+        frame_errors = server.frame_errors();
+        server.Stop();
+      });
+      const double sys_per_req =
+          static_cast<double>(io_syscalls) /
+          static_cast<double>(std::max<std::uint64_t>(1, server_requests));
+      // The CI gate from EXPERIMENTS.md: the completion path's steady state
+      // must stay under half a syscall per request at the closed-loop
+      // points (open-loop low-rate points legitimately approach one enter
+      // per response — there is nothing to batch a submission with).
+      if (smoke && completion_active && !cfg.open_loop && sys_per_req >= 0.5) {
+        std::fprintf(stderr,
+                     "SYSCALL GATE FAILED: completion path %s/%d conns measured %.3f "
+                     "syscalls/request (gate: < 0.5)\n",
+                     spec.mode, cfg.connections, sys_per_req);
+        syscall_gate_failed = true;
+      }
+      // Allocation gate: a closed-loop point's server allocates (almost)
+      // nothing per request on either data path. Open-loop points are not
+      // gated: setting up their 10k connections dominates the count.
+      const double allocs_per_req =
+          static_cast<double>(allocs) /
+          static_cast<double>(std::max<std::uint64_t>(1, server_requests));
+      if (smoke && !cfg.open_loop && allocs_per_req >= 0.1) {
+        std::fprintf(stderr,
+                     "ALLOC GATE FAILED: %s path %s/%d conns measured %.3f "
+                     "allocations/request (gate: < 0.1)\n",
+                     data_path, spec.mode, cfg.connections, allocs_per_req);
+        alloc_gate_failed = true;
+      }
+      // SCAN correctness gate: every SCAN reply of every repetition must
+      // hold at most the asked number of pairs, keys ascending.
+      if (scan_wrong > 0) {
+        std::fprintf(stderr,
+                     "SCAN GATE FAILED: %s/%d conns: %llu of %llu SCAN replies over the "
+                     "limit or out of key order\n",
+                     spec.mode, cfg.connections, static_cast<unsigned long long>(scan_wrong),
+                     static_cast<unsigned long long>(scan_replies));
+        scan_gate_failed = true;
+      }
+
+      PrintCell(data_path);
+      PrintCell(spec.mode);
+      PrintCell(static_cast<std::int64_t>(cfg.connections));
+      PrintCell(cfg.open_loop ? cfg.offered_rps : 0.0);
+      PrintCell(out.achieved_rps);
+      PrintCell(out.p99_ns);
+      PrintCell(sys_per_req);
+      PrintCell(allocs_per_req);
+      EndRow();
+
+      reporter.AddRow()
+          .Str("data_path", data_path)
+          .Str("policy", rt.policy_name())
+          .Str("mode", spec.mode)
+          .Int("connections", cfg.connections)
+          .Int("connected", out.connected)
+          .Num("offered_rps", cfg.open_loop ? cfg.offered_rps : 0.0)
+          .Num("achieved_rps", out.achieved_rps)
+          .Int("p50_ns", out.p50_ns)
+          .Int("p99_ns", out.p99_ns)
+          .Int("p999_ns", out.p999_ns)
+          .Int("replies", static_cast<std::int64_t>(out.replies))
+          .Int("client_errors", static_cast<std::int64_t>(out.errors))
+          .Int("shed_sends", static_cast<std::int64_t>(out.shed))
+          .Int("server_requests", static_cast<std::int64_t>(server_requests))
+          .Int("server_peer_resets", static_cast<std::int64_t>(peer_resets))
+          .Int("server_frame_errors", static_cast<std::int64_t>(frame_errors))
+          .Int("io_syscalls", static_cast<std::int64_t>(io_syscalls))
+          .Num("syscalls_per_request", sys_per_req)
+          .Int("allocs", static_cast<std::int64_t>(allocs))
+          .Num("allocs_per_request", allocs_per_req)
+          .Int("scan_replies", static_cast<std::int64_t>(scan_replies))
+          .Int("scan_wrong", static_cast<std::int64_t>(scan_wrong))
+          .Int("steals", static_cast<std::int64_t>(rt.steals()))
+          .Int("preemptions", static_cast<std::int64_t>(rt.preemptions()));
     }
   }
 
   if (!reporter.WriteFile()) {
     return 1;
   }
-  return syscall_gate_failed || scan_gate_failed ? 1 : 0;
+  return syscall_gate_failed || scan_gate_failed || alloc_gate_failed ? 1 : 0;
 }

@@ -22,9 +22,9 @@
 // multishot completions and provided buffers and sends asynchronously, so
 // its steady state makes almost no syscalls per request.
 //
-// Handler uthreads are ordinary runtime uthreads: they migrate via work
-// stealing, while their fd's readiness keeps firing on the home engine —
-// exercising the remote-enqueue mailbox path of the lock-free runqueues.
+// Handler uthreads are ordinary runtime uthreads: they migrate when an idle
+// worker steals them, while their fd's readiness keeps firing on the home
+// engine, whose worker's mailbox then takes the wakeup.
 //
 // The store is striped: a spin-locked (SpinBackoff + PreemptGuard) lock
 // table sized from the worker count replaces the old example's 8 global

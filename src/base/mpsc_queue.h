@@ -1,15 +1,12 @@
 // Intrusive multi-producer single-consumer mailbox.
 //
-// The host scheduler's lock-free fast path gives every worker one of these:
-// remote workers and off-runtime threads push submissions with a single CAS,
-// and the owning worker drains the whole backlog with one exchange at
-// dequeue time (see src/runtime/host_sched.cpp). The queue is a Treiber
-// stack: Push prepends under a release CAS loop, DrainReversed takes the
-// entire chain with an acquire exchange. The consumer therefore receives the
-// nodes in REVERSE arrival order — which is exactly what the scheduler
-// wants, because pushing the chain into a Chase-Lev deque bottom-first makes
-// the earliest arrival pop first (FIFO run order falls out of two reversals
-// cancelling).
+// The host scheduler gives every worker shard one of these: any worker or
+// off-runtime thread submits with a single CAS, and the owning worker drains
+// the whole backlog with one exchange and absorbs it into its policy (see
+// src/runtime/host_sched.cpp). The queue is a Treiber stack: Push prepends
+// under a release CAS loop, DrainReversed takes the entire chain with an
+// acquire exchange. The consumer therefore receives the nodes in REVERSE
+// arrival order, and relinks the chain to hand them on oldest-first.
 //
 // Ownership contract: a node may be in at most one MpscQueue at a time, and
 // must not be pushed again until the consumer has drained it (the scheduler

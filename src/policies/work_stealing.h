@@ -44,17 +44,7 @@ class WorkStealingPolicy : public SchedPolicy {
   SKYLOFT_NO_SWITCH std::size_t QueuedTasks() const override { return queued_; }
   const char* Name() const override { return "skyloft-ws"; }
 
-  // FIFO + steal-half is exactly what the host's lock-free driver implements,
-  // so the host runtime runs this policy without ever entering the methods
-  // above (the sim engines still drive them).
-  SKYLOFT_NO_SWITCH bool SupportsLockFree() const override { return true; }
-  SKYLOFT_NO_SWITCH DurationNs LockFreeQuantumNs() const override {
-    const DurationNs q = quantum_.For(kAllWorkers);
-    return q == kInfiniteSliceWs ? 0 : q;
-  }
-
-  // Live quantum control (sim engines and the shard-mutex host driver; under
-  // the lock-free driver HostSched holds the authoritative per-worker copy).
+  // Live quantum control (sim engines, and the host under the shard lock).
   SKYLOFT_NO_SWITCH void SetQuantum(DurationNs quantum_ns, int worker) override {
     quantum_.Set(quantum_ns, worker);
   }

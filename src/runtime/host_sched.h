@@ -2,34 +2,35 @@
 //
 // The sim engines (src/libos) drive a SchedPolicy from a single event loop;
 // the host runtime has N real worker pthreads, so the policy must be driven
-// concurrently. HostSched owns two interchangeable drivers behind one
-// per-worker operation surface:
+// concurrently. HostSched gives every worker a shard (DESIGN.md section 9):
+// a short spinlock, the worker's own policy instance (SchedInit'ed with a
+// one-worker EngineView), an MPSC mailbox for submissions, and the queued
+// count published under the lock. Every policy, work stealing included, runs
+// its own TaskEnqueue/TaskDequeue/SchedTimerTick here, as in the sim.
 //
-//   - the shard-mutex driver: one locked shard owning a policy instance that
-//     covers every worker. Every policy call happens under the shard's
-//     mutex. This is the general path — any Table 2 policy (CFS, EEVDF,
-//     RR, ...) runs here unchanged.
-//   - the lock-free driver: a two-level runqueue per worker — an intrusive
-//     MPSC mailbox absorbing all submissions plus a Chase-Lev deque the owner
-//     drains it into — with steal-half batching when a worker runs dry
-//     (DESIGN.md section 9). No mutex anywhere on the task path. Selected
-//     when the policy declares SchedPolicy::SupportsLockFree() (the
-//     work-stealing default does); the policy object then only supplies its
-//     name and preemption quantum.
+//   - Submissions push onto the target worker's mailbox (one CAS) with the
+//     enqueue flags carried on the SchedItem.
+//   - The owner absorbs its mailbox into its policy, in arrival order, first
+//     thing in every Dequeue/Requeue/Retire/Tick, under its own lock.
+//   - An idle worker steals up to half (at most 8) of the first other shard
+//     whose published count is non-zero: TaskDequeue under the victim's
+//     lock, then TaskEnqueue(kEnqueueWakeup) under its own. It never holds
+//     both locks. Mailboxes are invisible to thieves, so a fresh wakeup stays
+//     on the worker whose engine woke it.
+//   - A centralized policy (IsCentralized(), e.g. Shinjuku) gets one shard
+//     covering every worker; submissions to it take the lock directly.
+//     The host never calls SchedBalance.
 //
-// Locking model (shard-mutex driver): callers on a uthread stack must hold a
-// Runtime::PreemptGuard (a preemption signal landing while a shard lock is
-// held would deadlock the worker). The runtime's scheduler stack always runs
+// Locking model: callers on a uthread stack must hold a Runtime::PreemptGuard
+// (a preemption signal landing while a shard lock is held would deadlock the
+// worker's tick on its own lock). The runtime's scheduler stack always runs
 // with preemption disabled, so WorkerLoop-side calls are safe by
-// construction. The lock-free driver has no locks to deadlock on, but the
-// same guard discipline applies so the two drivers stay swappable.
+// construction.
 #ifndef SRC_RUNTIME_HOST_SCHED_H_
 #define SRC_RUNTIME_HOST_SCHED_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "src/base/bitmap.h"
@@ -42,7 +43,7 @@ namespace skyloft {
 // Which policy the host runtime schedules uthreads with (Table 4 policies
 // that make sense without a centralized dispatcher thread).
 enum class RuntimePolicy {
-  kWorkStealing,  // per-worker FIFO + steal-half; the pre-refactor behavior
+  kWorkStealing,  // per-worker FIFO + steal-half
   kFifo,          // run-to-completion round-robin placement, no preemption
   kRoundRobin,    // FIFO + slice-based preemption via the signal timer
   kCfs,
@@ -54,62 +55,53 @@ struct HostSchedOptions {
   // Slice/quantum override in microseconds; 0 keeps the policy default
   // (12.5 us RR slice, 5 us work-stealing quantum).
   std::int64_t time_slice_us = 0;
-  // Non-owning: schedule with this policy instance instead of constructing
-  // one from `policy`. The caller keeps the object alive for the lifetime of
-  // the Runtime.
-  SchedPolicy* custom_policy = nullptr;
-  // Pin the shard-mutex driver even when the policy supports the lock-free
-  // one (benchmark baselines, driver-parity tests).
+  // Builds the policy instead of `policy` (the registry's `make`
+  // signature): called once per worker shard, or once for a centralized
+  // policy.
+  std::unique_ptr<SchedPolicy> (*custom_policy)() = nullptr;
+  // Ignored: there is one driver. Kept only because the repo benchmark's
+  // ladder still sets it.
   bool force_locked = false;
 };
 
 class HostSched {
  public:
   HostSched(int workers, const HostSchedOptions& options);
-  ~HostSched();  // out of line: Shard/LfWorker are incomplete types here
+  ~HostSched();  // out of line: Shard is an incomplete type here
 
-  // Every operation below runs policy code under a shard mutex (shard-mutex
-  // driver) or manipulates lock-free queues whose progress other workers
-  // depend on (lock-free driver); either way it must never reach a switch
-  // primitive — hence the blanket SKYLOFT_NO_SWITCH.
+  // Every operation below runs policy code under a shard spinlock, so it
+  // must never reach a switch primitive — hence the blanket
+  // SKYLOFT_NO_SWITCH.
 
-  // task_enqueue. `worker_hint` is a global worker index (or -1): a valid
-  // hint routes to that worker's runqueue, no hint lets the driver place
-  // the task (lock-free: idle-first placement; shard-mutex: the policy
-  // places it).
+  // task_enqueue (and task_init when `flags` has kEnqueueNew). `worker_hint`
+  // is a global worker index (or -1): a valid hint routes to that worker's
+  // shard, no hint places the item with ExternalTarget().
   SKYLOFT_NO_SWITCH void Enqueue(SchedItem* item, unsigned flags, int worker_hint);
-
-  // task_init + task_enqueue fused: a new item is initialized by the same
-  // policy instance that first queues it, and the spawn path pays one lock
-  // round trip instead of two (lock-free: TaskInit is policy-free, this is
-  // a plain mailbox push).
-  SKYLOFT_NO_SWITCH void EnqueueNew(SchedItem* item, unsigned flags, int worker_hint);
+  SKYLOFT_NO_SWITCH void EnqueueNew(SchedItem* item, unsigned flags, int worker_hint) {
+    Enqueue(item, flags | kEnqueueNew, worker_hint);
+  }
 
   // task_terminate + task_dequeue fused: retire a finished item and fetch
   // the worker's next task in one acquisition (the exit fast path).
   SKYLOFT_NO_SWITCH SchedItem* Retire(SchedItem* dead, int worker);
 
-  // task_dequeue for `worker`; on an empty queue invokes sched_balance /
-  // steal-half and retries (the paper's idle path). A rescue counts as a
-  // steal.
+  // task_dequeue for `worker`; on an empty shard steals (the paper's idle
+  // path). A stolen item counts as a steal.
   SKYLOFT_NO_SWITCH SchedItem* Dequeue(int worker);
 
   // Enqueue(item, flags, worker) + Dequeue(worker) fused — the scheduler's
-  // yield-completion fast path. May return a different item than `item`
-  // (including nullptr if a thief migrated it before we could re-fetch).
+  // yield-completion fast path. Work absorbed from the mailbox is queued
+  // ahead of `item`, so a fresh wakeup runs before the yielder.
   SKYLOFT_NO_SWITCH SchedItem* Requeue(SchedItem* item, unsigned flags, int worker);
 
   // sched_timer_tick for `worker`; true => preempt `current`.
   SKYLOFT_NO_SWITCH bool Tick(int worker, SchedItem* current, DurationNs ran_ns);
 
-  // Live quantum control (the adaptive controller's fast knob). Callable from
-  // any thread: the lock-free driver stores per-worker atomics that Tick
-  // rereads every invocation; the shard-mutex driver forwards to the policy
-  // under the shard's lock. `worker` < 0 targets all workers;
-  // `quantum_ns` <= 0 (or INT64_MAX) disables tick preemption.
+  // Live quantum control (the adaptive controller's fast knob), forwarded to
+  // the policy under the shard lock. Callable from any thread. `worker` < 0
+  // targets all workers; `quantum_ns` <= 0 disables tick preemption.
   SKYLOFT_NO_SWITCH void SetQuantum(DurationNs quantum_ns, int worker);
-  // The quantum in force for `worker` (lock-free driver: 0 == disabled;
-  // shard-mutex driver: the policy's own reporting convention).
+  // The quantum in force for `worker`, in the policy's own convention.
   SKYLOFT_NO_SWITCH DurationNs QuantumFor(int worker) const;
 
   // Placement target for submissions that originate off-runtime (external
@@ -119,57 +111,41 @@ class HostSched {
 
   SKYLOFT_NO_SWITCH void SetIdle(int worker, bool idle);
 
-  std::size_t Queued() const;  // approximate under the lock-free driver
   std::uint64_t steals() const { return steals_->Value(); }
   const char* PolicyName() const;
   int workers() const { return workers_; }
-  // True when this instance runs the lock-free two-level-runqueue driver.
-  bool lock_free() const { return lock_free_; }
 
  private:
-  struct Shard;     // shard-mutex driver state (one policy + mutex)
-  struct LfWorker;  // lock-free driver state (mailbox + deque + rng)
+  struct Shard;
 
-  // Lock-free driver internals (see host_sched.cpp).
-  SKYLOFT_NO_SWITCH void LfEnqueue(SchedItem* item, int target);
-  SKYLOFT_NO_SWITCH SchedItem* LfDequeue(int worker);
-  SKYLOFT_NO_SWITCH SchedItem* LfStealHalf(int worker);
-
-  // Per-worker approximate queue length, one cache line per worker (same
-  // treatment as ShardedCounter lanes) so enqueue accounting on neighbor
-  // workers never false-shares.
-  struct alignas(kCacheLineSize) HotLine {
-    std::atomic<int> len{0};
-  };
+  Shard& ShardOf(int worker) const;
+  SKYLOFT_NO_SWITCH SKYLOFT_ACQUIRES(host_shard) static void LockShard(Shard& s);
+  SKYLOFT_NO_SWITCH SKYLOFT_RELEASES(host_shard) static void UnlockShard(Shard& s);
+  // Under the owner's lock: moves `worker`'s mailbox into its policy.
+  SKYLOFT_NO_SWITCH void Absorb(Shard& s, int worker);
+  // Under `s`'s lock: task_init for kEnqueueNew, then task_enqueue.
+  SKYLOFT_NO_SWITCH static void EnqueueLocked(Shard& s, SchedItem* item, unsigned flags,
+                                              int worker);
+  // Under `s`'s lock: republishes the shard's queued count.
+  SKYLOFT_NO_SWITCH static void Publish(Shard& s);
+  SKYLOFT_NO_SWITCH SchedItem* Steal(int worker);
 
   int workers_;
-  bool lock_free_ = false;
-
-  // ---- shard-mutex driver ----
-  std::unique_ptr<Shard> shard_;
-
-  // ---- lock-free driver ----
-  std::vector<std::unique_ptr<LfWorker>> lf_;
-  SchedPolicy* lf_policy_ = nullptr;  // name + quantum only; Table 2 unused
-  std::unique_ptr<SchedPolicy> lf_owned_;
-  // The per-worker lock-free quantum lives in LfWorker::quantum (atomic,
-  // reread on every Tick) so SetQuantum takes effect mid-run.
+  // One shard per worker, or a single shard covering every worker for a
+  // centralized policy.
+  std::vector<std::unique_ptr<Shard>> shards_;
 
   // Worker state the policies read through EngineView and ExternalTarget
-  // reads for placement. approx_len_ tracks per-worker enqueue/dequeue
-  // deltas under the shard-mutex driver only (migrations make it
-  // approximate); the lock-free driver reads its queues' own state instead
-  // and never touches the ledger.
+  // reads for placement.
   AtomicBitmap idle_map_;
-  std::unique_ptr<HotLine[]> approx_len_;
 
   MetricGroup metrics_{"host_sched"};
   // All owned by metrics_; one cache-line lane per worker so hot-path
   // accounting never contends on a shared counter word.
-  ShardedCounter* steals_ = nullptr;           // items gained via balance/steal
+  ShardedCounter* steals_ = nullptr;           // items gained by stealing
   ShardedCounter* mailbox_drains_ = nullptr;   // non-empty mailbox drains
-  ShardedCounter* steal_attempts_ = nullptr;   // Steal() calls (any outcome)
-  ShardedCounter* steal_successes_ = nullptr;  // Steal() calls that won an item
+  ShardedCounter* steal_attempts_ = nullptr;   // locked probes of a victim
+  ShardedCounter* steal_successes_ = nullptr;  // probes that won an item
   ShardedCounter* cas_retries_ = nullptr;      // mailbox-push CAS retries
 };
 
@@ -183,9 +159,6 @@ class HostSchedCore {
   SKYLOFT_NO_SWITCH SchedItem* Dequeue() { return sched_->Dequeue(worker_); }
   SKYLOFT_NO_SWITCH void Enqueue(SchedItem* item, unsigned flags) {
     sched_->Enqueue(item, flags, worker_);
-  }
-  SKYLOFT_NO_SWITCH void EnqueueNew(SchedItem* item, unsigned flags) {
-    sched_->EnqueueNew(item, flags, worker_);
   }
   SKYLOFT_NO_SWITCH SchedItem* Requeue(SchedItem* item, unsigned flags) {
     return sched_->Requeue(item, flags, worker_);

@@ -13,6 +13,7 @@
 #include <cerrno>
 #include <cstring>
 #include <deque>
+#include <list>
 #include <memory>
 #include <string>
 
@@ -182,7 +183,11 @@ struct IoQueues {
   // unsent bytes. While tx_inflight (io_uring), tx_iov/tx_msg describe the
   // submitted batch and the referenced front entries must not be popped
   // (only the send CQE pops, under q_spin, before any re-arm).
-  std::deque<std::string> tx;
+  std::list<std::string> tx;
+  // Fully sent entries, node and string storage kept: the next send assigns
+  // into one instead of allocating per batch. List nodes never move, so an
+  // in-flight send's entries stay put while others come and go.
+  std::list<std::string> tx_free;
   std::size_t tx_off = 0;
   std::size_t tx_bytes = 0;
   bool tx_inflight = false;
@@ -212,13 +217,24 @@ int FillSendIovs(const IoQueues& q, iovec* iov) {
   return niov;
 }
 
-// Drops `sent` bytes from the front of the send queue.
+// Appends `bytes` to the send queue, reusing a sent entry when one is free.
+void PushSend(IoQueues* q, std::string_view bytes) {
+  q->tx_bytes += bytes.size();
+  if (q->tx_free.empty()) {
+    q->tx.emplace_back(bytes);
+    return;
+  }
+  q->tx.splice(q->tx.end(), q->tx_free, q->tx_free.begin());
+  q->tx.back().assign(bytes);
+}
+
+// Drops `sent` bytes from the front of the send queue onto the free list.
 void ConsumeSent(IoQueues* q, std::size_t sent) {
   q->tx_bytes -= std::min(sent, q->tx_bytes);
   std::size_t consumed = q->tx_off + sent;
   while (!q->tx.empty() && consumed >= q->tx.front().size()) {
     consumed -= q->tx.front().size();
-    q->tx.pop_front();
+    q->tx_free.splice(q->tx_free.begin(), q->tx, q->tx.begin());
   }
   q->tx_off = consumed;
 }
@@ -920,8 +936,7 @@ void IoEngine::RecycleBuffer(std::uint16_t buf_id) {
 // is in flight (short sends re-arm from the CQE until drained).
 bool IoEngine::EnqueueSendLocked(IoHandle* handle, std::string_view bytes) {
   IoQueues* q = handle->queues;
-  q->tx_bytes += bytes.size();
-  q->tx.emplace_back(bytes);
+  PushSend(q, bytes);
   if (q->tx_inflight) {
     return true;
   }
@@ -1024,8 +1039,7 @@ std::ptrdiff_t IoEngine::Send(IoHandle* handle, std::string_view bytes) {
   } else if (Completion(handle)) {
     ok = EnqueueSendLocked(handle, bytes);
   } else if (!q->tx.empty()) {
-    q->tx_bytes += bytes.size();  // behind an unsent remainder, in order
-    q->tx.emplace_back(bytes);
+    PushSend(q, bytes);  // behind an unsent remainder, in order
   } else {
     // The common case: the socket takes the batch whole, with no copy.
     std::size_t off = 0;
@@ -1036,8 +1050,7 @@ std::ptrdiff_t IoEngine::Send(IoHandle* handle, std::string_view bytes) {
       if (n >= 0) {
         off += static_cast<std::size_t>(n);
       } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        q->tx_bytes += bytes.size() - off;
-        q->tx.emplace_back(bytes.substr(off));
+        PushSend(q, bytes.substr(off));
         break;
       } else if (errno != EINTR) {
         ok = false;  // EPIPE / ECONNRESET: the peer is gone

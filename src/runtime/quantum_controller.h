@@ -24,9 +24,10 @@
 //
 // Everything here runs on a slow path (a housekeeping thread on the host, a
 // periodic event in the sim) — never on a worker, never in a signal handler.
-// The fast-path knobs it drives are lock-free to read: HostSched's per-worker
-// atomic quantum, Runtime's atomic timer period, the sim policies' plain
-// fields mutated from the single event loop.
+// The knobs it drives are cheap to touch from there: the host policies'
+// quanta behind each worker's shard lock (HostSched::SetQuantum), Runtime's
+// atomic timer period, the sim policies' plain fields mutated from the
+// single event loop.
 #ifndef SRC_RUNTIME_QUANTUM_CONTROLLER_H_
 #define SRC_RUNTIME_QUANTUM_CONTROLLER_H_
 

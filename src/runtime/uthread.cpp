@@ -581,9 +581,9 @@ void Runtime::WorkerLoop(int index) {
   // then complete the uthread's action, which may pick the next round's
   // `next` directly (a requeue winner, or a tick that resumes `prev`). The
   // poll comes before the completion (I/O first): handlers woken by socket
-  // readiness are enqueued on THIS worker's runqueue (the remote-enqueue
-  // mailbox when the handler was stolen) ahead of a requeued yielder, and a
-  // tick's preemption decision sees them. Polled after the completion, a
+  // readiness land in THIS worker's mailbox, which the completion absorbs
+  // into the policy ahead of a requeued yielder and before a tick's
+  // preemption decision. Polled after the completion, a
   // request that arrived during the segment would wait one more batch unit
   // or quantum (DESIGN.md §10, "Round order").
   UThread* next = nullptr;
@@ -677,8 +677,8 @@ void Runtime::WorkerLoop(int index) {
 }
 
 UThread* Runtime::FindWork(RuntimeWorker* worker) {
-  // task_dequeue, with the policy's sched_balance as the idle fallback
-  // (work stealing's steal-half lives behind it).
+  // task_dequeue, with a steal from another worker's shard as the idle
+  // fallback.
   return static_cast<UThread*>(worker->sched.Dequeue());
 }
 
@@ -737,23 +737,14 @@ UThread* Runtime::Spawn(std::function<void()> fn) {
 void Runtime::Schedule(UThread* thread, unsigned flags) {
   RuntimeWorker* worker = tl_worker;
   if (worker != nullptr) {
-    if (flags & kEnqueueNew) {
-      worker->sched.EnqueueNew(thread, flags);  // fused task_init + enqueue
-    } else {
-      worker->sched.Enqueue(thread, flags);
-    }
+    worker->sched.Enqueue(thread, flags);  // task_init too for kEnqueueNew
     return;
   }
   // Off-runtime submission (external Unpark, Run()'s main thread): place on
   // the first idle worker, falling back to the least-loaded queue, instead
   // of unconditionally piling onto worker 0.
   external_placements_->Inc();
-  const int target = sched_->ExternalTarget();
-  if (flags & kEnqueueNew) {
-    sched_->EnqueueNew(thread, flags, target);
-  } else {
-    sched_->Enqueue(thread, flags, target);
-  }
+  sched_->Enqueue(thread, flags, sched_->ExternalTarget());
 }
 
 // NOTE on the switch-out protocol (Yield / PreemptTick / Park / ExitCurrent):

@@ -6,7 +6,7 @@
 // Rapids hardware — see DESIGN.md). Scheduling decisions are delegated to a
 // Table 2 SchedPolicy through the HostSched adapter: the default is the
 // work-stealing policy (per-worker FIFO + steal-half), but any registered
-// policy — FIFO, RR, CFS, EEVDF, or a caller-supplied instance — can drive
+// policy — FIFO, RR, CFS, EEVDF, or one from a caller-supplied factory — can drive
 // the same workers via RuntimeOptions::sched. Table 7's threading-operation
 // benchmarks measure these primitives.
 //
@@ -141,12 +141,15 @@ class Runtime {
   // ---- Live preemption tuning (any thread; the quantum controller's knobs) ----
 
   // Forwards to HostSched::SetQuantum: per-worker (or all-worker) preemption
-  // quantum, effective from the next tick that consults it.
+  // quantum, effective from the next tick that consults it. Both take a
+  // shard lock, so a uthread caller must not be preempted while it is held.
   SKYLOFT_NO_SWITCH void SetQuantum(DurationNs quantum_ns,
                                     int worker = SchedPolicy::kAllWorkers) {
+    PreemptGuard guard;
     sched_->SetQuantum(quantum_ns, worker);
   }
   SKYLOFT_NO_SWITCH DurationNs QuantumFor(int worker) const {
+    PreemptGuard guard;
     return sched_->QuantumFor(worker);
   }
 
@@ -170,9 +173,6 @@ class Runtime {
   // via idle-first/least-loaded selection.
   std::uint64_t external_placements() const { return external_placements_->Value(); }
   const char* policy_name() const { return sched_->PolicyName(); }
-  // True when the host scheduler selected the lock-free two-level-runqueue
-  // driver for the active policy (see HostSched / DESIGN.md section 9).
-  bool lock_free_sched() const { return sched_->lock_free(); }
 
   int workers() const { return options_.workers; }
 

@@ -74,24 +74,6 @@ class SchedPolicy {
   // (sched_poll model) rather than per-CPU queues.
   SKYLOFT_NO_SWITCH virtual bool IsCentralized() const { return false; }
 
-  // ---- Lock-free driver capability ----
-  //
-  // A policy that returns true declares that its scheduling discipline is
-  // exactly "per-worker FIFO + steal-half when idle": the host runtime may
-  // then bypass the policy's Table 2 methods entirely and run the task flow
-  // on its lock-free two-level runqueue (MPSC mailbox -> Chase-Lev deque,
-  // DESIGN.md section 9). The policy object still provides Name() and the
-  // preemption quantum below; its TaskEnqueue/TaskDequeue are never called.
-  // Policies with cross-task ordering state (CFS, EEVDF, RR's cyclic order,
-  // centralized dispatch) must keep the default false and ride the
-  // shard-mutex driver.
-  SKYLOFT_NO_SWITCH virtual bool SupportsLockFree() const { return false; }
-
-  // Preemption quantum the lock-free driver should enforce on timer ticks
-  // (preempt when a task has run this long and work is waiting). 0 disables
-  // tick preemption. Only consulted when SupportsLockFree() is true.
-  SKYLOFT_NO_SWITCH virtual DurationNs LockFreeQuantumNs() const { return 0; }
-
   // ---- Dynamic quantum control ----
   //
   // Worker argument meaning "every worker" for SetQuantum/QuantumFor.
@@ -124,9 +106,8 @@ class SchedPolicy {
 // Per-worker quantum table backing the built-in policies' SetQuantum /
 // QuantumFor implementations: a global value plus sparse per-worker
 // overrides, normalized so requests <= 0 become the policy's "infinite"
-// sentinel. Grows on demand so it works even when SchedInit was never called
-// (the host's lock-free driver bypasses it). Callers serialize access the
-// same way they serialize the Table 2 methods.
+// sentinel. Grows on demand, so it works even before SchedInit. Callers
+// serialize access the same way they serialize the Table 2 methods.
 class QuantumTable {
  public:
   QuantumTable(DurationNs global, DurationNs infinite)

@@ -31,6 +31,9 @@ enum EnqueueFlags : unsigned {
 // never live at once: an item is either inside a policy or in flight to one).
 struct SchedItem : ListNode, MpscNode {
   std::uint64_t id = 0;
+  // EnqueueFlags of a submission in flight through a host mailbox, read by
+  // the worker that absorbs it into its policy.
+  unsigned enqueue_flags = 0;
 
   // ---- policy-defined per-task state (paper: the extra field in task_t) ----
   static constexpr std::size_t kPolicyDataSize = 64;

@@ -1259,24 +1259,22 @@ void ExpectWakeupAtFirstTick(HostSchedOptions sched) {
   EXPECT_LE(ticks, 1) << "ticks between the write and the handler running";
 }
 
-TEST(IoEngineRoundOrderTest, ReadinessOvertakesYielderLockFree) {
+TEST(IoEngineRoundOrderTest, ReadinessOvertakesYielderWs) {
   ExpectWakeupWithinOneYield(HostSchedOptions{});
 }
 
-TEST(IoEngineRoundOrderTest, ReadinessOvertakesYielderShardMutexFifo) {
-  ExpectWakeupWithinOneYield(
-      HostSchedOptions{.policy = RuntimePolicy::kFifo, .force_locked = true});
+TEST(IoEngineRoundOrderTest, ReadinessOvertakesYielderFifo) {
+  ExpectWakeupWithinOneYield(HostSchedOptions{.policy = RuntimePolicy::kFifo});
 }
 
-TEST(IoEngineRoundOrderTest, ReadinessPreemptsAtFirstTickLockFree) {
+TEST(IoEngineRoundOrderTest, ReadinessPreemptsAtFirstTickWs) {
   ExpectWakeupAtFirstTick(HostSchedOptions{});
 }
 
-// FIFO never preempts on a tick, so the shard-mutex tick case runs its
-// sliced variant, round robin.
-TEST(IoEngineRoundOrderTest, ReadinessPreemptsAtFirstTickShardMutexRoundRobin) {
-  ExpectWakeupAtFirstTick(
-      HostSchedOptions{.policy = RuntimePolicy::kRoundRobin, .force_locked = true});
+// FIFO never preempts on a tick, so the tick case runs its sliced variant,
+// round robin.
+TEST(IoEngineRoundOrderTest, ReadinessPreemptsAtFirstTickRr) {
+  ExpectWakeupAtFirstTick(HostSchedOptions{.policy = RuntimePolicy::kRoundRobin});
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -130,28 +131,27 @@ TEST(RuntimeTest, MultiWorkerSpawnStorm) {
 TEST(RuntimeTest, WorkStealingSpreadsLoad) {
   Runtime rt(RuntimeOptions{.workers = 4});
   std::atomic<int> count{0};
-  int expected = 0;
-  // On a single-CPU host the sibling worker pthreads only run when the
-  // kernel timeslices them in; repeat batches until a steal is observed.
-  for (int round = 0; round < 50 && rt.steals() == 0; round++) {
-    expected += 200;
-    rt.Run([&] {
-      std::vector<UThread*> children;
-      for (int i = 0; i < 200; i++) {
-        children.push_back(Runtime::Spawn([&] {
-          // Enough yields that idle workers get a chance to steal.
-          for (int j = 0; j < 50; j++) {
-            Runtime::Yield();
-          }
-          count.fetch_add(1);
-        }));
-      }
-      for (UThread* c : children) {
-        Runtime::Join(c);
-      }
-    });
-  }
-  EXPECT_EQ(count.load(), expected);
+  // The children keep yielding until an idle worker has stolen work, for at
+  // most 5 s. The window is wall time, not a yield count: on a loaded or
+  // single-CPU host the sibling worker pthreads only run when the kernel
+  // timeslices them in, and a fixed number of fast yields can end first.
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  rt.Run([&] {
+    std::vector<UThread*> children;
+    for (int i = 0; i < 200; i++) {
+      children.push_back(Runtime::Spawn([&] {
+        for (int j = 0;
+             j < 50 || (rt.steals() == 0 && std::chrono::steady_clock::now() < give_up); j++) {
+          Runtime::Yield();
+        }
+        count.fetch_add(1);
+      }));
+    }
+    for (UThread* c : children) {
+      Runtime::Join(c);
+    }
+  });
+  EXPECT_EQ(count.load(), 200);
   EXPECT_GT(rt.steals(), 0u) << "idle workers should have stolen work";
 }
 

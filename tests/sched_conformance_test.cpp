@@ -8,7 +8,7 @@
 //   - work conservation (parallel makespan beats serial execution)
 //   - the engine honors the preemption flag / the policy's tick verdict
 //
-// The same policy objects run under both drivers; this suite is the
+// The same policy classes run on both substrates; this suite is the
 // executable form of the paper's generality claim.
 #include <gtest/gtest.h>
 
@@ -16,7 +16,9 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/simcore/simulation.h"
@@ -189,9 +191,8 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, SimConformanceTest,
 class HostConformanceTest : public ::testing::TestWithParam<RegisteredPolicy> {};
 
 TEST_P(HostConformanceTest, NoLostNoDuplicatedUThreads) {
-  auto policy = GetParam().make();
   RuntimeOptions opts{.workers = 2};
-  opts.sched.custom_policy = policy.get();
+  opts.sched.custom_policy = GetParam().make;
   Runtime rt(opts);
   constexpr int kThreads = 300;
   auto slots = std::make_unique<std::atomic<int>[]>(kThreads);
@@ -215,15 +216,15 @@ TEST_P(HostConformanceTest, NoLostNoDuplicatedUThreads) {
     EXPECT_EQ(slots[i].load(), 2) << "uthread " << i << " lost or run twice under "
                                   << GetParam().name;
   }
-  EXPECT_EQ(rt.policy_name(), std::string(policy->Name())) << "runtime must use the custom policy";
+  EXPECT_EQ(rt.policy_name(), std::string(GetParam().make()->Name()))
+      << "runtime must use the custom policy";
 }
 
 TEST_P(HostConformanceTest, TimerTicksDoNotLoseWork) {
   // The signal timer delivers sched_timer_tick to the policy while real
   // compute runs; whatever the policy decides, all work must complete.
-  auto policy = GetParam().make();
   RuntimeOptions opts{.workers = 2, .preempt_period_us = 1000};
-  opts.sched.custom_policy = policy.get();
+  opts.sched.custom_policy = GetParam().make;
   Runtime rt(opts);
   std::atomic<long long> total{0};
   rt.Run([&] {
@@ -304,64 +305,60 @@ TEST(HostPolicySemanticsTest, RoundRobinPreemptsCpuHog) {
   EXPECT_GT(rt.preemptions(), 0u);
 }
 
-// ---- Driver selection (SchedPolicy::SupportsLockFree capability) ----
+// ---- Stealing between worker shards ----
 //
-// The host scheduler runs a policy on one of two drivers: the lock-free
-// two-level runqueue (mailbox -> Chase-Lev deque, DESIGN.md section 9) when
-// the policy declares its discipline is FIFO + steal-half, or the shard-mutex
-// driver otherwise. The conformance suites above already exercise both (the
-// registry's "ws" entry rides lock-free, everything else rides the mutex);
-// these tests pin the selection logic itself and the force_locked escape.
+// Every per-CPU policy runs one instance per worker shard; an idle worker
+// steals absorbed surplus from a busy one through the policies' own
+// TaskDequeue/TaskEnqueue (DESIGN.md section 9). Eight children that never
+// yield, spawned by one uthread, must spread over both workers under every
+// policy, not only work stealing.
 
-TEST(HostDriverSelectionTest, WorkStealingSelectsLockFreeDriver) {
-  Runtime rt(RuntimeOptions{.workers = 2});  // default policy: work stealing
-  EXPECT_TRUE(rt.lock_free_sched());
-  EXPECT_EQ(std::string(rt.policy_name()), "skyloft-ws");
-}
-
-TEST(HostDriverSelectionTest, OrderingPoliciesKeepShardMutexDriver) {
-  for (RuntimePolicy p : {RuntimePolicy::kCfs, RuntimePolicy::kEevdf,
-                          RuntimePolicy::kRoundRobin, RuntimePolicy::kFifo}) {
-    RuntimeOptions opts{.workers = 2};
-    opts.sched.policy = p;
-    Runtime rt(opts);
-    EXPECT_FALSE(rt.lock_free_sched());
+std::vector<RegisteredPolicy> PerCpuPolicies() {
+  std::vector<RegisteredPolicy> out;
+  for (const RegisteredPolicy& entry : StandardPolicies()) {
+    if (!entry.centralized) {
+      out.push_back(entry);
+    }
   }
+  return out;
 }
 
-TEST(HostDriverSelectionTest, ForceLockedPinsMutexDriverAndStillConforms) {
-  // force_locked runs work stealing through the policy's own Table 2 methods
-  // under the shard mutex (the benchmark baseline path); the lifecycle
-  // workload must behave identically to the lock-free driver.
+class HostBalanceTest : public ::testing::TestWithParam<RegisteredPolicy> {};
+
+TEST_P(HostBalanceTest, IdleWorkerStealsAbsorbedSurplus) {
   RuntimeOptions opts{.workers = 2};
-  opts.sched.force_locked = true;
+  opts.sched.custom_policy = GetParam().make;
   Runtime rt(opts);
-  EXPECT_FALSE(rt.lock_free_sched());
-  EXPECT_EQ(std::string(rt.policy_name()), "skyloft-ws");
-  constexpr int kThreads = 300;
-  auto slots = std::make_unique<std::atomic<int>[]>(kThreads);
-  for (int i = 0; i < kThreads; i++) {
-    slots[i].store(0);
-  }
+  constexpr int kChildren = 8;
+  std::vector<std::thread::id> ran_on(kChildren);
   rt.Run([&] {
     std::vector<UThread*> children;
-    for (int i = 0; i < kThreads; i++) {
-      children.push_back(Runtime::Spawn([&slots, i] {
-        slots[i].fetch_add(1);
-        Runtime::Yield();
-        slots[i].fetch_add(1);
+    for (int i = 0; i < kChildren; i++) {
+      children.push_back(Runtime::Spawn([&ran_on, i] {
+        ran_on[i] = std::this_thread::get_id();
+        const auto until = std::chrono::steady_clock::now() + std::chrono::milliseconds(1);
+        volatile std::uint64_t x = 0;
+        while (std::chrono::steady_clock::now() < until) {
+          x = x + 1;
+        }
       }));
     }
     for (UThread* c : children) {
       Runtime::Join(c);
     }
   });
-  for (int i = 0; i < kThreads; i++) {
-    EXPECT_EQ(slots[i].load(), 2) << "uthread " << i << " lost or run twice";
+  std::set<std::thread::id> pthreads;
+  for (const std::thread::id& id : ran_on) {
+    EXPECT_NE(id, std::thread::id()) << "a child never ran under " << GetParam().name;
+    pthreads.insert(id);
   }
+  EXPECT_GE(pthreads.size(), 2u) << "no child was stolen under " << GetParam().name;
 }
 
-// ---- Quantum plumbing (ISSUE 9) ----
+INSTANTIATE_TEST_SUITE_P(PerCpuPolicies, HostBalanceTest, ::testing::ValuesIn(PerCpuPolicies()),
+                         PolicyParamName);
+
+// ---- Quantum plumbing ----
 
 // Regression: HostSchedOptions::time_slice_us was silently dropped for CFS
 // and EEVDF — MakeHostPolicy built CfsParams{}/EevdfParams{} and ignored the
@@ -380,17 +377,15 @@ TEST(HostQuantumPlumbingTest, TimeSliceOverrideReachesEveryBuiltinPolicy) {
   }
 }
 
-// SetQuantum mid-run must take effect on the live driver — the lock-free
-// path rereads the per-worker atomic quantum on every Tick (it used to latch
-// it once at driver selection) — without spurious preemptions while the
-// quantum is long and without dropped ones once it is short. Runs under the
-// TSan CI job: the controller thread writes the quantum while workers and
-// the signal path read it.
-void MidRunSetQuantumTakesEffect(bool force_locked) {
+// SetQuantum mid-run must take effect on the policy the next tick consults,
+// without spurious preemptions while the quantum is long and without
+// dropped ones once it is short. Runs under the TSan CI job: the quantum is
+// written from a uthread while the worker's ticks read it.
+void MidRunSetQuantumTakesEffect(RuntimePolicy policy) {
   SchedTracer tracer(1 << 16);
   RuntimeOptions opts{.workers = 1, .preempt_period_us = 500};
-  opts.sched.force_locked = force_locked;        // ws policy on both drivers
-  opts.sched.time_slice_us = 1'000'000;          // phase A: 1 s quantum
+  opts.sched.policy = policy;
+  opts.sched.time_slice_us = 1'000'000;  // phase A: 1 s quantum
   opts.tracer = &tracer;
   Runtime rt(opts);
   const auto spin_for = [](std::int64_t us) {
@@ -442,16 +437,16 @@ void MidRunSetQuantumTakesEffect(bool force_locked) {
             0u);
 }
 
-TEST(HostQuantumPlumbingTest, SetQuantumMidRunLockFreeDriver) {
-  MidRunSetQuantumTakesEffect(/*force_locked=*/false);
+TEST(HostQuantumPlumbingTest, SetQuantumMidRunWs) {
+  MidRunSetQuantumTakesEffect(RuntimePolicy::kWorkStealing);
 }
 
-TEST(HostQuantumPlumbingTest, SetQuantumMidRunShardMutexDriver) {
-  MidRunSetQuantumTakesEffect(/*force_locked=*/true);
+TEST(HostQuantumPlumbingTest, SetQuantumMidRunRr) {
+  MidRunSetQuantumTakesEffect(RuntimePolicy::kRoundRobin);
 }
 
-// Pin for the ISSUE 9 run-charging audit: LfRunData::ran is charged exactly
-// once per dispatched span and reset on dequeue; a deferred preemption
+// Pin for the run-charging audit: work stealing's per-task run time is
+// charged exactly once per dispatched span and reset on dequeue; a deferred preemption
 // signal does not re-charge the span it already billed and double-fire next
 // period. Observable contract: tasks that always yield well inside the
 // quantum are never preempted, however much total CPU they accumulate — if
