@@ -583,9 +583,9 @@ void Runtime::WorkerLoop(int index) {
   // poll comes before the completion (I/O first): handlers woken by socket
   // readiness land in THIS worker's mailbox, which the completion absorbs
   // into the policy ahead of a requeued yielder and before a tick's
-  // preemption decision. Polled after the completion, a
-  // request that arrived during the segment would wait one more batch unit
-  // or quantum (DESIGN.md §10, "Round order").
+  // preemption decision. Polled after the completion, a request that
+  // arrived during the segment would wait one more batch unit or quantum
+  // (DESIGN.md §10, "Round order").
   UThread* next = nullptr;
   while (!stopping_.load(std::memory_order_relaxed)) {
     if (next == nullptr) {

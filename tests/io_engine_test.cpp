@@ -1242,9 +1242,16 @@ void ExpectWakeupAtFirstTick(HostSchedOptions sched) {
   const std::uint64_t busy_id = RaceArrivalAgainstBusy(
       RuntimeOptions{.preempt_period_us = 1000, .sched = sched, .tracer = &tracer},
       [&](const std::atomic<bool>& stop) {
+        // Gives up after 5 s so a handler that never runs while the hog
+        // holds the worker fails the tick count instead of hanging. The
+        // clock (vDSO text, where a tick defers) is read once per 2^20 spins.
+        const std::int64_t give_up = MonotonicNowNs() + 5'000'000'000;
         volatile std::uint64_t x = 0;  // executable text: a safe preemption point
         while (!stop.load(std::memory_order_relaxed)) {
           x = x + 1;
+          if ((x & 0xFFFFF) == 0 && MonotonicNowNs() > give_up) {
+            break;
+          }
         }
       },
       [&] { written_ns = MonotonicNowNs(); }, [&] { ran_ns = MonotonicNowNs(); });

@@ -474,12 +474,18 @@ TEST(RuntimePreemptTest, PreemptionPreservesComputation) {
 TEST(RuntimePreemptTest, PreemptionIsMallocSafe) {
   Runtime rt(RuntimeOptions{.workers = 2, .preempt_period_us = 500});
   std::atomic<long long> sum{0};
+  // The children churn until the timer has tried at least once, for at most
+  // 5 s: on a loaded host no signal may land in the ~8 ms the 20'000
+  // iterations take.
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(5);
   rt.Run([&] {
     std::vector<UThread*> children;
     for (int i = 0; i < 8; i++) {
       children.push_back(Runtime::Spawn([&, i] {
         long long local = 0;
-        for (int j = 0; j < 20'000; j++) {
+        for (int j = 0; j < 20'000 || (rt.preemptions() + rt.preempt_deferrals() == 0 &&
+                                       std::chrono::steady_clock::now() < give_up);
+             j++) {
           // Churn the heap across size classes; no yields.
           std::string s = "key-" + std::to_string(i * 100'000 + j);
           std::vector<char> buf(static_cast<std::size_t>(j % 509 + 1), 'x');

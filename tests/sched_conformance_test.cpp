@@ -446,9 +446,9 @@ TEST(HostQuantumPlumbingTest, SetQuantumMidRunRr) {
 }
 
 // Pin for the run-charging audit: work stealing's per-task run time is
-// charged exactly once per dispatched span and reset on dequeue; a deferred preemption
-// signal does not re-charge the span it already billed and double-fire next
-// period. Observable contract: tasks that always yield well inside the
+// charged exactly once per dispatched span and reset on dequeue; a deferred
+// preemption signal does not re-charge the span it already billed and
+// double-fire next period. Observable contract: tasks that always yield well inside the
 // quantum are never preempted, however much total CPU they accumulate — if
 // charge leaked across spans (or a deferral re-billed one), the quantum
 // would trip despite every span being ~100x shorter than it.
